@@ -4,7 +4,6 @@ histograms."""
 
 from .concurrency import (
     ConcurrencyRelation,
-    DirectlyFollowsCounts,
     OracleThresholds,
     count_directly_follows,
     discover_concurrency,

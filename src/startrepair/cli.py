@@ -89,7 +89,7 @@ def _mapping_from(resolved: dict) -> ColumnMapping:
 
 
 def _read_log(path: str, mapping: ColumnMapping):
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         if mapping.is_event_per_row:
             log, summary = to_activity_instances(parse_event_log(handle, mapping))
             return log, summary
@@ -98,7 +98,7 @@ def _read_log(path: str, mapping: ColumnMapping):
 
 def _relation_for(log: ActivityInstanceLog, resolved: dict) -> conc.ConcurrencyRelation:
     if resolved.get("concurrency_file"):
-        with open(resolved["concurrency_file"], encoding="utf-8", newline="") as handle:
+        with open(resolved["concurrency_file"], encoding="utf-8-sig", newline="") as handle:
             return conc.load_concurrency(handle)
     thresholds = conc.OracleThresholds(
         df_threshold=float(resolved.get("df_threshold", 0.05)),

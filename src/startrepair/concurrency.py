@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -31,14 +31,6 @@ class OracleThresholds:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-
-
-@dataclass
-class DirectlyFollowsCounts:
-    counts: Counter = field(default_factory=Counter)
-
-    def __getitem__(self, pair: tuple[str, str]) -> int:
-        return self.counts[pair]
 
 
 class ConcurrencyRelation:
@@ -71,14 +63,11 @@ class ConcurrencyRelation:
         return sorted(self.pairs)
 
 
-EMPTY_RELATION = ConcurrencyRelation()
-
-
 def _trace_order_key(inst):
     return (inst.start, inst.end, inst.activity)
 
 
-def count_directly_follows(log_: ActivityInstanceLog) -> DirectlyFollowsCounts:
+def count_directly_follows(log_: ActivityInstanceLog) -> Counter:
     """Count ordered adjacency within traces (sorted by start, ties by end then
     label) plus interval overlaps, which add evidence in both directions."""
     counts = Counter()
@@ -90,18 +79,18 @@ def count_directly_follows(log_: ActivityInstanceLog) -> DirectlyFollowsCounts:
             if first.start < second.end and second.start < first.end:
                 counts[(first.activity, second.activity)] += 1
                 counts[(second.activity, first.activity)] += 1
-    return DirectlyFollowsCounts(counts)
+    return counts
 
 
 def discover_concurrency(
-    counts: DirectlyFollowsCounts,
+    counts: Counter,
     thresholds: OracleThresholds = OracleThresholds(),
 ) -> ConcurrencyRelation:
     """Declare {a, b} concurrent when both directions survive the noise filter
     and the directional imbalance stays below the balance threshold."""
     pairs = []
     seen = set()
-    for a, b in counts.counts:
+    for a, b in counts:
         if a == b:
             continue
         key = (a, b) if a <= b else (b, a)
@@ -149,7 +138,7 @@ def load_concurrency(source) -> ConcurrencyRelation:
 
 def write_concurrency(relation: ConcurrencyRelation, sink) -> None:
     """Write one lexicographically sorted row per unordered pair."""
-    out = _text_stream(sink)
+    out = _text_stream(sink, "utf-8")
     writer = csv.writer(out, lineterminator="\n")
     for a, b in relation.sorted_pairs():
         writer.writerow((a, b))

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import floor
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .model import ActivityInstanceLog
 
@@ -18,18 +18,18 @@ CYCLE_TIME_BINS = 100
 class Histogram:
     """Discretized distribution: mass per integer bin index.
 
-    `origin` and `bin_width` fix the discretization grid; two histograms are
-    comparable only when they share both.
+    `origin` and `bin_width`, in seconds, fix the discretization grid; two
+    histograms are comparable only when they share both. A timestamp
+    histogram's origin is POSIX seconds.
     """
 
-    origin: Union[datetime, float]
-    bin_width: Union[timedelta, float]
+    origin: float
+    bin_width: float
     masses: Mapping[int, float]
 
     def __post_init__(self):
-        width = self.bin_width
-        if (width.total_seconds() if isinstance(width, timedelta) else width) <= 0:
-            raise ValueError(f"bin width must be positive, got {width}")
+        if self.bin_width <= 0:
+            raise ValueError(f"bin width must be positive, got {self.bin_width}")
         if any(m < 0 for m in self.masses.values()):
             raise ValueError("negative bin mass")
 
@@ -53,9 +53,9 @@ def timestamp_histogram(
         origin = min(points).replace(minute=0, second=0, microsecond=0)
     masses: dict[int, float] = {}
     for point in points:
-        index = floor((point - origin) / HOUR)
+        index = (point - origin) // HOUR
         masses[index] = masses.get(index, 0.0) + 1.0
-    return Histogram(origin, HOUR, masses)
+    return Histogram(origin.timestamp(), HOUR.total_seconds(), masses)
 
 
 def trace_cycle_times(log: ActivityInstanceLog) -> dict[str, timedelta]:
@@ -151,6 +151,8 @@ def evaluate_logs(
 ) -> EmdReport:
     """Compare two logs: EMD over shared date-hour timestamp histograms and
     over cycle-time histograms on the reference-defined grid."""
+    if not reference.instances or not other.instances:
+        raise ValueError("cannot discretize an empty log")
     shared_origin = min(
         inst.start for log in (reference, other) for inst in log.instances
     ).replace(minute=0, second=0, microsecond=0)
@@ -162,7 +164,7 @@ def evaluate_logs(
         cycle_time_emd=wasserstein_1d(ct_ref, ct_other),
         reference_mass=ts_ref.total_mass,
         other_mass=ts_other.total_mass,
-        bin_width_seconds=float(ct_ref.bin_width),
+        bin_width_seconds=ct_ref.bin_width,
         reference_bins=len(ts_ref.masses),
         other_bins=len(ts_other.masses),
     )

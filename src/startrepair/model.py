@@ -99,9 +99,6 @@ class ActivityInstanceLog:
         self._resource_ends = {
             r: [i.end for i in v] for r, v in self.per_resource_index.items()
         }
-        self._trace_ends = {
-            t: [i.end for i in v] for t, v in self.per_trace_index.items()
-        }
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -117,12 +114,9 @@ class ActivityInstanceLog:
     def activities(self) -> set[str]:
         return {inst.activity for inst in self.instances}
 
-    def last_end_before(self, resource_or_trace: str, end: datetime, *,
-                        by: str) -> Optional[datetime]:
-        """Largest indexed end time strictly before `end` in the given bucket."""
-        ends = (self._resource_ends if by == "resource" else self._trace_ends).get(
-            resource_or_trace
-        )
+    def last_end_before(self, resource: str, end: datetime) -> Optional[datetime]:
+        """Largest end time of `resource` strictly before `end`."""
+        ends = self._resource_ends.get(resource)
         if not ends:
             return None
         i = bisect_left(ends, end)
@@ -174,11 +168,14 @@ class PairingSummary:
     dropped_other_lifecycle: int = 0
 
 
-def _text_stream(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase]) -> TextIO:
+def _text_stream(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase],
+                 encoding: str = "utf-8-sig") -> TextIO:
+    """Text view of a binary stream. Readers skip a leading UTF-8 byte-order
+    mark, as written by spreadsheet exports; writers pass "utf-8" to emit none."""
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "mode") and "b" in getattr(source, "mode", "")
     ):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        return io.TextIOWrapper(source, encoding=encoding, newline="")
     return source
 
 
@@ -332,7 +329,7 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
 def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     """Write the log as CSV with header `case_id,activity,start_time,end_time,resource`
     and ISO-8601 timestamps with explicit offset."""
-    out = _text_stream(sink)
+    out = _text_stream(sink, "utf-8")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(INSTANCE_HEADER)
     for inst in log.instances:

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from math import floor
+from math import floor, isfinite
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
@@ -31,9 +31,10 @@ class RepairConfig:
     def __post_init__(self):
         if self.statistic not in ("median", "mode"):
             raise ConfigurationError(f"unknown statistic: {self.statistic!r}")
-        if self.outlier_threshold is not None and self.outlier_threshold <= 1:
+        threshold = self.outlier_threshold
+        if threshold is not None and not (isfinite(threshold) and threshold > 1):
             raise ConfigurationError(
-                f"outlier threshold must be > 1, got {self.outlier_threshold}"
+                f"outlier threshold must be finite and > 1, got {threshold}"
             )
         object.__setattr__(self, "bot_resources", frozenset(self.bot_resources))
         object.__setattr__(self, "instant_activities",
@@ -42,7 +43,11 @@ class RepairConfig:
 
 @dataclass(frozen=True)
 class InstanceRepair:
-    """Per-instance audit record of the repair decision."""
+    """Per-instance audit record of the repair decision.
+
+    Bot and instant instances are decided before any lookup, so their `rat`
+    and `ent` are None. `earliest_start` is the estimate after the outlier cap.
+    """
 
     original_start: datetime
     rat: Optional[datetime]
@@ -70,7 +75,7 @@ def resource_availability_time(
     before this instance's end; None for the resource's first instance."""
     if instance.resource is None:
         return None
-    return log.last_end_before(instance.resource, instance.end, by="resource")
+    return log.last_end_before(instance.resource, instance.end)
 
 
 def enablement_time(
@@ -92,6 +97,30 @@ def enablement_time(
     return best
 
 
+def _anchors(
+    instance: ActivityInstance,
+    log: ActivityInstanceLog,
+    relation: ConcurrencyRelation,
+    config: RepairConfig,
+) -> tuple[Optional[datetime], Optional[datetime], Optional[datetime], bool]:
+    """The rule chain for one instance: (rat, ent, earliest, instant).
+
+    Bot and instant instances start at their end and skip the RAT/ENT lookups.
+    An unknown performer has no RAT: it is treated as a maximum-capacity pool.
+    """
+    if instance.activity in config.instant_activities or (
+        instance.resource is not None and instance.resource in config.bot_resources
+    ):
+        return None, None, instance.end, True
+    rat = resource_availability_time(instance, log)
+    ent = enablement_time(instance, log, relation)
+    if rat is None:
+        return rat, ent, ent, False
+    if ent is None:
+        return rat, ent, rat, False
+    return rat, ent, max(rat, ent), False
+
+
 def earliest_start(
     instance: ActivityInstance,
     log: ActivityInstanceLog,
@@ -100,19 +129,7 @@ def earliest_start(
 ) -> Optional[datetime]:
     """Earliest instant the instance could have started: max of resource
     availability and enablement, with the bot/instant and missing-resource rules."""
-    if instance.activity in config.instant_activities:
-        return instance.end
-    if instance.resource is not None and instance.resource in config.bot_resources:
-        return instance.end
-    ent = enablement_time(instance, log, relation)
-    if instance.resource is None:
-        return ent  # unknown performer: treated as a maximum-capacity pool
-    rat = resource_availability_time(instance, log)
-    if rat is None:
-        return ent
-    if ent is None:
-        return rat
-    return max(rat, ent)
+    return _anchors(instance, log, relation, config)[2]
 
 
 def typical_repaired_duration(
@@ -140,77 +157,47 @@ def repair_start_times(
 ) -> RepairOutcome:
     """Repair every start time to the instance's earliest starting point.
 
-    Pass 1 computes the earliest start per instance; pass 2 (when an outlier
-    threshold is set) caps repaired durations at threshold * typical repaired
-    duration per activity. Estimates are then clamped so starts never move past
-    the recorded start (unless `allow_later_start`) nor past the end. Instances
-    flagged bot/instant keep start = end regardless of clamping; instances with
-    no evidence keep their recorded start.
+    Pass 1 computes the earliest start per instance; when an outlier threshold
+    is set, pass 2 fixes each activity's cap at threshold * typical repaired
+    duration and pass 3 shortens longer repaired durations to it. Estimates are
+    then clamped so starts never move past the recorded start (unless
+    `allow_later_start`) nor past the end. Instances flagged bot/instant keep
+    start = end regardless of clamping; instances with no evidence keep their
+    recorded start.
     """
-    records: list[dict] = []
-    for instance in log.instances:
-        instant = (
-            instance.activity in config.instant_activities
-            or (instance.resource is not None
-                and instance.resource in config.bot_resources)
-        )
-        rat = resource_availability_time(instance, log)
-        ent = enablement_time(instance, log, relation)
-        if instant:
-            earliest = instance.end
-        elif instance.resource is None:
-            earliest = ent
-        elif rat is None:
-            earliest = ent
-        elif ent is None:
-            earliest = rat
-        else:
-            earliest = max(rat, ent)
-        records.append(
-            {"instance": instance, "rat": rat, "ent": ent,
-             "earliest": earliest, "instant": instant, "capped": False}
-        )
+    records = [(instance, *_anchors(instance, log, relation, config))
+               for instance in log.instances]
 
+    bounds: dict[str, timedelta] = {}
     if config.outlier_threshold is not None:
         by_activity: dict[str, list[timedelta]] = defaultdict(list)
-        for record in records:
-            if record["earliest"] is not None:
-                activity = record["instance"].activity
-                by_activity[activity].append(record["instance"].end - record["earliest"])
-        typical = {
-            activity: typical_repaired_duration(durations, config.statistic)
-            for activity, durations in by_activity.items()
-        }
-        for record in records:
-            if record["earliest"] is None or record["instant"]:
-                continue
-            cap = typical.get(record["instance"].activity)
-            if cap is None:
-                continue
-            bound = config.outlier_threshold * cap
-            if record["instance"].end - record["earliest"] > bound:
-                record["earliest"] = record["instance"].end - bound
-                record["capped"] = True
+        for instance, _, _, earliest, _ in records:
+            if earliest is not None:
+                by_activity[instance.activity].append(instance.end - earliest)
+        for activity, durations in by_activity.items():
+            bounds[activity] = config.outlier_threshold * typical_repaired_duration(
+                durations, config.statistic)
 
     repaired_instances: list[ActivityInstance] = []
     per_instance: list[InstanceRepair] = []
-    for record in records:
-        instance: ActivityInstance = record["instance"]
-        earliest = record["earliest"]
-        if record["instant"]:
+    for instance, rat, ent, earliest, instant in records:
+        if instant:
             repaired, rule = instance.end, RULE_BOT_OR_INSTANT
         elif earliest is None:
             repaired, rule = instance.start, RULE_NO_EVIDENCE
         else:
+            rule = RULE_ESTIMATED
+            bound = bounds.get(instance.activity)
+            if bound is not None and instance.end - earliest > bound:
+                earliest, rule = instance.end - bound, RULE_CAPPED
             repaired = earliest
-            rule = RULE_CAPPED if record["capped"] else RULE_ESTIMATED
             if not config.allow_later_start and repaired > instance.start:
                 repaired, rule = instance.start, RULE_CLAMPED
             if repaired > instance.end:
                 repaired = instance.end
-        repaired_instances.append(replace(instance, start=repaired))
+        repaired_instances.append(ActivityInstance(
+            instance.trace_id, instance.activity, repaired, instance.end,
+            instance.resource))
         per_instance.append(
-            InstanceRepair(instance.start, record["rat"], record["ent"],
-                           earliest, repaired, rule)
-        )
+            InstanceRepair(instance.start, rat, ent, earliest, repaired, rule))
     return RepairOutcome(ActivityInstanceLog(repaired_instances), tuple(per_instance))

@@ -82,6 +82,27 @@ class TestRepairCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_infinite_threshold_is_a_one_line_error(self, shipping_file, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out.csv"
+        assert run("repair", "--input", shipping_file, "--output", out,
+                   "--outlier-threshold", "inf") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("startrepair: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_byte_order_mark_header(self, shipping_file, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + shipping_file.read_bytes())
+        outs = []
+        for source in (shipping_file, marked):
+            out = tmp_path / f"{source.stem}.out.csv"
+            assert run("repair", "--input", source, "--output", out,
+                       "--report", tmp_path / "report.json") == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_concurrency_file_replaces_discovery(self, shipping_file, tmp_path,
                                                  capsys):
         pairs = tmp_path / "pairs.csv"
@@ -106,6 +127,13 @@ class TestEvaluateCommand:
         assert run("evaluate", "--reference", shipping_file,
                    "--other", shipping_file, "--format", "text") == 0
         assert "timestamp EMD" in capsys.readouterr().out
+
+    def test_empty_log(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("case_id,activity,start_time,end_time,resource\n")
+        assert run("evaluate", "--reference", empty, "--other", empty) == 1
+        assert capsys.readouterr().err == (
+            "startrepair: error: cannot discretize an empty log\n")
 
     def test_dump_histograms(self, shipping_file, tmp_path):
         dump = tmp_path / "hists"

@@ -17,14 +17,14 @@ from startrepair import (
     discover_from_log,
     load_concurrency,
 )
-from startrepair.concurrency import DirectlyFollowsCounts, write_concurrency
+from startrepair.concurrency import write_concurrency
 
 from .conftest import ts
 from .strategies import instance_logs
 
 
-def counts_of(pairs: dict) -> DirectlyFollowsCounts:
-    return DirectlyFollowsCounts(Counter(pairs))
+def counts_of(pairs: dict) -> Counter:
+    return Counter(pairs)
 
 
 class TestCountDirectlyFollows:
@@ -41,7 +41,7 @@ class TestCountDirectlyFollows:
             [ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
                               ts("2021-03-07 12:30:00"), "r")]
         )
-        assert count_directly_follows(log).counts == Counter()
+        assert count_directly_follows(log) == Counter()
 
     def test_trace_23_overlap_counts_both_directions(self, shipping_log):
         # Prepare Package (13:11:07-14:17:29) overlaps Prepare Invoice

@@ -92,6 +92,11 @@ class TestParseEventLog:
         source = io.BytesIO(shipping_csv().encode())
         assert len(parse_event_log(source, ColumnMapping())) == 20
 
+    def test_bytes_source_with_byte_order_mark(self):
+        source = io.BytesIO(b"\xef\xbb\xbf" + shipping_csv().encode())
+        assert parse_event_log(source, ColumnMapping()) == parse_event_log(
+            io.StringIO(shipping_csv()), ColumnMapping())
+
 
 class TestPairing:
     def test_shipping_log_pairs_bit_exact(self):

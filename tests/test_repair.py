@@ -4,6 +4,7 @@ from datetime import timedelta
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from startrepair import (
     ActivityInstance,
@@ -25,7 +26,7 @@ from startrepair.repair import (
 )
 
 from .conftest import find, ts
-from .strategies import instance_logs
+from .strategies import ACTIVITIES, instance_logs
 
 EMPTY = ConcurrencyRelation()
 
@@ -265,6 +266,9 @@ class TestRepairStartTimes:
             RepairConfig(statistic="mean")
         with pytest.raises(ConfigurationError):
             RepairConfig(outlier_threshold=1.0)
+        for threshold in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                RepairConfig(outlier_threshold=threshold)
 
 
 class TestRepairProperties:
@@ -310,6 +314,19 @@ class TestRepairProperties:
                 and max(record.rat, record.ent) <= instance.start
             ):
                 assert record.repaired_start == max(record.rat, record.ent)
+
+    @given(instance_logs(max_size=12),
+           st.frozensets(st.sampled_from(("r1", "r2"))),
+           st.frozensets(st.sampled_from(ACTIVITIES)))
+    def test_repair_agrees_with_earliest_start(self, log, bots, instants):
+        relation = discover_from_log(log)
+        config = RepairConfig(bot_resources=bots, instant_activities=instants)
+        outcome = repair_start_times(log, relation, config)
+        for record, instance in zip(outcome.per_instance, log.instances):
+            assert record.earliest_start == earliest_start(
+                instance, log, relation, config)
+            if record.rule_applied == RULE_BOT_OR_INSTANT:
+                assert record.rat is None and record.ent is None
 
     @given(instance_logs(max_size=12))
     def test_rule_counts_sum_to_instances(self, log):
