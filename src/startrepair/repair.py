@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import floor, isfinite
+from operator import attrgetter
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
@@ -78,23 +80,29 @@ def resource_availability_time(
     return log.last_end_before(instance.resource, instance.end)
 
 
+_end = attrgetter("end")
+
+
 def enablement_time(
     instance: ActivityInstance,
     log: ActivityInstanceLog,
     relation: ConcurrencyRelation,
 ) -> Optional[datetime]:
     """Largest end time among same-trace instances ending strictly before this
-    instance's end whose activity is not concurrent with it; None when empty."""
+    instance's end whose activity is not concurrent with it; None when empty.
+
+    A bisection on the end-sorted trace index finds the instances ending
+    strictly before, then the walk back skips only concurrent ones: O(log k + c)
+    for a trace of k instances with c concurrent instances just before.
+    """
     candidates = log.per_trace_index.get(instance.trace_id, ())
-    best: Optional[datetime] = None
-    for other in reversed(candidates):
-        if other.end >= instance.end:
-            continue
-        if relation.concurrent(other.activity, instance.activity):
-            continue
-        best = other.end  # index is end-sorted, first hit is the max
-        break
-    return best
+    i = bisect_left(candidates, instance.end, key=_end)
+    while i > 0:
+        i -= 1
+        other = candidates[i]
+        if not relation.concurrent(other.activity, instance.activity):
+            return other.end  # index is end-sorted, first hit is the max
+    return None
 
 
 def _anchors(
@@ -175,8 +183,11 @@ def repair_start_times(
             if earliest is not None:
                 by_activity[instance.activity].append(instance.end - earliest)
         for activity, durations in by_activity.items():
-            bounds[activity] = config.outlier_threshold * typical_repaired_duration(
-                durations, config.statistic)
+            typical = typical_repaired_duration(durations, config.statistic)
+            try:
+                bounds[activity] = config.outlier_threshold * typical
+            except OverflowError:
+                pass  # a cap beyond timedelta's range never binds: leave uncapped
 
     repaired_instances: list[ActivityInstance] = []
     per_instance: list[InstanceRepair] = []

@@ -16,9 +16,9 @@ RESOURCES = ("r1", "r2", None)
 
 @st.composite
 def instances(draw, activities=ACTIVITIES, traces=TRACES, resources=RESOURCES,
-              horizon_seconds=86_400):
+              horizon_seconds=86_400, max_duration_seconds=7_200):
     start_offset = draw(st.integers(min_value=0, max_value=horizon_seconds))
-    duration = draw(st.integers(min_value=0, max_value=7_200))
+    duration = draw(st.integers(min_value=0, max_value=max_duration_seconds))
     return ActivityInstance(
         trace_id=draw(st.sampled_from(traces)),
         activity=draw(st.sampled_from(activities)),

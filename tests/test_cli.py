@@ -92,6 +92,18 @@ class TestRepairCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_huge_finite_threshold_never_binds(self, shipping_file, tmp_path):
+        outs, reports = [], []
+        for name, extra in (("plain", ()), ("huge", ("--outlier-threshold", "1e12"))):
+            out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run("repair", "--input", shipping_file, "--output", out,
+                       "--report", report, *extra) == 0
+            outs.append(out.read_bytes())
+            reports.append(json.loads(report.read_text()))
+        assert outs[0] == outs[1]
+        assert reports[1]["rule_counts"]["outlier_capped"] == 0
+        assert reports[1]["rule_counts"] == reports[0]["rule_counts"]
+
     def test_byte_order_mark_header(self, shipping_file, tmp_path):
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + shipping_file.read_bytes())

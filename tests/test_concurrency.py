@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from startrepair import (
     ActivityInstance,
@@ -25,6 +27,26 @@ from .strategies import instance_logs
 
 def counts_of(pairs: dict) -> Counter:
     return Counter(pairs)
+
+
+def pairwise_directly_follows(log) -> Counter:
+    """O(k^2) reference: adjacency in (start, end, label) order plus every
+    overlapping pair of a trace, counted in both directions."""
+    counts = Counter()
+    for trace_instances in log.per_trace_index.values():
+        ordered = sorted(trace_instances,
+                         key=lambda i: (i.start, i.end, i.activity))
+        for previous, current in zip(ordered, ordered[1:]):
+            counts[(previous.activity, current.activity)] += 1
+        for first, second in combinations(ordered, 2):
+            if first.start < second.end and second.start < first.end:
+                counts[(first.activity, second.activity)] += 1
+                counts[(second.activity, first.activity)] += 1
+    return counts
+
+
+# dense logs: ties, touching intervals and zero-length instances are common
+DENSE_LOGS = instance_logs(max_size=30, horizon_seconds=20, max_duration_seconds=4)
 
 
 class TestCountDirectlyFollows:
@@ -62,6 +84,29 @@ class TestCountDirectlyFollows:
         counts = count_directly_follows(log)
         assert counts[("a", "b")] == 1  # adjacency only
         assert counts[("b", "a")] == 0
+        assert counts == pairwise_directly_follows(log)
+
+    @pytest.mark.parametrize("intervals, expected", [
+        # zero-length at another's start is no overlap
+        ([("a", "12:00", "12:30"), ("b", "12:00", "12:00")], {("b", "a"): 1}),
+        ([("a", "12:00", "12:30"), ("b", "12:30", "12:30")], {("a", "b"): 1}),
+        # zero-length strictly inside another does overlap
+        ([("a", "12:00", "12:30"), ("b", "12:10", "12:10")],
+         {("a", "b"): 2, ("b", "a"): 1}),
+        # identical intervals overlap once in each direction
+        ([("a", "12:00", "12:30"), ("b", "12:00", "12:30")],
+         {("a", "b"): 2, ("b", "a"): 1}),
+        ([("a", "12:00", "12:30"), ("a", "12:00", "12:30")], {("a", "a"): 3}),
+    ])
+    def test_boundary_intervals(self, intervals, expected):
+        log = ActivityInstanceLog([
+            ActivityInstance("1", activity, ts(f"2021-03-07 {start}:00"),
+                             ts(f"2021-03-07 {end}:00"), "r")
+            for activity, start, end in intervals
+        ])
+        counts = count_directly_follows(log)
+        assert counts == Counter(expected)
+        assert counts == pairwise_directly_follows(log)
 
 
 class TestDiscoverConcurrency:
@@ -145,3 +190,7 @@ class TestProperties:
         relation = discover_from_log(log)
         for a, b in relation.sorted_pairs():
             assert counts[(a, b)] > 0 and counts[(b, a)] > 0
+
+    @given(st.one_of(DENSE_LOGS, instance_logs(max_size=12)))
+    def test_sweep_equals_pairwise_reference(self, log):
+        assert count_directly_follows(log) == pairwise_directly_follows(log)

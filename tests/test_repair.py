@@ -102,6 +102,21 @@ class TestEnablement:
             "2021-03-07 13:12:11"
         )
 
+    def test_equal_ends_are_not_previous(self):
+        at = "2021-03-07 12:30:00"
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-07 11:00:00"),
+                             ts("2021-03-07 11:40:00"), "r"),
+            ActivityInstance("1", "b", ts("2021-03-07 11:50:00"), ts(at), "r"),
+            ActivityInstance("1", "c", ts("2021-03-07 12:00:00"), ts(at), "s"),
+            ActivityInstance("1", "d", ts("2021-03-07 12:10:00"), ts(at), None),
+            ActivityInstance("2", "a", ts("2021-03-07 12:00:00"),
+                             ts("2021-03-07 12:20:00"), "r"),
+        ])
+        for instance in log.instances[1:4]:
+            assert enablement_time(instance, log, EMPTY) == ts(
+                "2021-03-07 11:40:00") == brute_force_ent(instance, log, EMPTY)
+
 
 class TestEarliestStart:
     def test_max_of_rat_and_ent(self, shipping_log):
