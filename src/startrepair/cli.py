@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -11,6 +12,8 @@ from . import concurrency as conc
 from . import evaluate as ev
 from . import loggen
 from .model import (
+    EVENT_COLUMNS,
+    INSTANCE_COLUMNS,
     ActivityInstanceLog,
     ColumnMapping,
     ConfigurationError,
@@ -22,28 +25,47 @@ from .model import (
 )
 from .repair import RepairConfig, repair_start_times
 
-# keys accepted in the flat JSON config file; command-line flags override
-CONFIG_KEYS = (
-    "input", "output", "report",
-    "case_column", "activity_column", "start_column", "end_column",
-    "timestamp_column", "lifecycle_column", "resource_column",
-    "statistic", "outlier_threshold", "bot_resources", "instant_activities",
-    "allow_later_start",
-    "balance_threshold", "df_threshold", "concurrency_file",
-)
+# column flag -> the ColumnMapping field it names
+_COLUMN_KEYS = {
+    "case_column": "trace_id", "activity_column": "activity",
+    "start_column": "start_time", "end_column": "end_time",
+    "timestamp_column": "timestamp", "lifecycle_column": "lifecycle",
+    "resource_column": "resource",
+}
+_LABELS = (str, list)
+_TYPE_NAMES = {str: "a string", float: "a number", bool: "true or false",
+               _LABELS: "a string or a list of strings"}
+
+# keys accepted in the flat JSON config file, with their JSON types;
+# command-line flags override
+CONFIG_KEYS = {
+    "input": str, "output": str, "report": str,
+    **dict.fromkeys(_COLUMN_KEYS, str),
+    "statistic": str, "outlier_threshold": float,
+    "bot_resources": _LABELS, "instant_activities": _LABELS,
+    "allow_later_start": bool,
+    "balance_threshold": float, "df_threshold": float, "concurrency_file": str,
+}
 
 
 def _load_config_file(path: Optional[str]) -> dict:
+    """Config-file settings, typed as the flags would give them; null means
+    not given. JSON numbers are read as floats, as the flags read them."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_int=float)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {unknown}")
-    return data
+    for key, value in data.items():
+        kind = CONFIG_KEYS[key]
+        if value is not None and not isinstance(value, kind):
+            raise ConfigurationError(
+                f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def _resolve(args: argparse.Namespace, file_values: dict) -> dict:
@@ -56,12 +78,19 @@ def _resolve(args: argparse.Namespace, file_values: dict) -> dict:
     return resolved
 
 
+def _given(resolved: dict, *keys: str) -> dict:
+    """The settings among `keys` that a flag or the config file gave."""
+    return {key: resolved[key] for key in keys if key in resolved}
+
+
 def _label_set(value) -> frozenset:
     """A comma-separated list, a JSON list, or a path to a file of labels."""
     if value is None:
         return frozenset()
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return frozenset(str(v) for v in value)
+    if isinstance(value, list):
+        if not all(isinstance(v, str) for v in value):
+            raise ConfigurationError(f"label lists must hold strings, got {json.dumps(value)}")
+        return frozenset(value)
     if os.path.isfile(value):
         with open(value, encoding="utf-8") as handle:
             return frozenset(line.strip() for line in handle if line.strip())
@@ -69,22 +98,11 @@ def _label_set(value) -> frozenset:
 
 
 def _mapping_from(resolved: dict) -> ColumnMapping:
-    if resolved.get("timestamp_column") or resolved.get("lifecycle_column"):
-        return ColumnMapping(
-            trace_id=resolved.get("case_column", "case_id"),
-            activity=resolved.get("activity_column", "activity"),
-            start_time=None,
-            end_time=None,
-            timestamp=resolved.get("timestamp_column", "timestamp"),
-            lifecycle=resolved.get("lifecycle_column", "lifecycle"),
-            resource=resolved.get("resource_column", "resource"),
-        )
-    return ColumnMapping(
-        trace_id=resolved.get("case_column", "case_id"),
-        activity=resolved.get("activity_column", "activity"),
-        start_time=resolved.get("start_column", "start_time"),
-        end_time=resolved.get("end_column", "end_time"),
-        resource=resolved.get("resource_column", "resource"),
+    """The default instance or event mapping, with the given columns renamed."""
+    evented = resolved.get("timestamp_column") or resolved.get("lifecycle_column")
+    return dataclasses.replace(
+        EVENT_COLUMNS if evented else INSTANCE_COLUMNS,
+        **{field: resolved[key] for key, field in _COLUMN_KEYS.items() if key in resolved},
     )
 
 
@@ -96,14 +114,15 @@ def _read_log(path: str, mapping: ColumnMapping):
         return read_instance_log(handle, mapping), None
 
 
-def _relation_for(log: ActivityInstanceLog, resolved: dict) -> conc.ConcurrencyRelation:
+def _thresholds(resolved: dict) -> conc.OracleThresholds:
+    return conc.OracleThresholds(**_given(resolved, "df_threshold", "balance_threshold"))
+
+
+def _relation_for(log: ActivityInstanceLog, resolved: dict,
+                  thresholds: conc.OracleThresholds) -> conc.ConcurrencyRelation:
     if resolved.get("concurrency_file"):
         with open(resolved["concurrency_file"], encoding="utf-8-sig", newline="") as handle:
             return conc.load_concurrency(handle)
-    thresholds = conc.OracleThresholds(
-        df_threshold=float(resolved.get("df_threshold", 0.05)),
-        balance_threshold=float(resolved.get("balance_threshold", 0.75)),
-    )
     return conc.discover_from_log(log, thresholds)
 
 
@@ -120,17 +139,14 @@ def _run_repair(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _load_config_file(args.config))
     if "input" not in resolved or "output" not in resolved:
         raise ConfigurationError("repair needs --input and --output")
-    mapping = _mapping_from(resolved)
-    log, summary = _read_log(resolved["input"], mapping)
-    relation = _relation_for(log, resolved)
-    threshold = resolved.get("outlier_threshold")
+    thresholds = _thresholds(resolved)
     config = RepairConfig(
-        statistic=resolved.get("statistic", "median"),
-        outlier_threshold=float(threshold) if threshold is not None else None,
         bot_resources=_label_set(resolved.get("bot_resources")),
         instant_activities=_label_set(resolved.get("instant_activities")),
-        allow_later_start=bool(resolved.get("allow_later_start", False)),
+        **_given(resolved, "statistic", "outlier_threshold", "allow_later_start"),
     )
+    log, summary = _read_log(resolved["input"], _mapping_from(resolved))
+    relation = _relation_for(log, resolved, thresholds)
     outcome = repair_start_times(log, relation, config)
     with open(resolved["output"], "w", encoding="utf-8", newline="") as handle:
         write_activity_instance_log(outcome.repaired_log, handle)
@@ -144,8 +160,8 @@ def _run_repair(args: argparse.Namespace) -> int:
             "bot_resources": sorted(config.bot_resources),
             "instant_activities": sorted(config.instant_activities),
             "allow_later_start": config.allow_later_start,
-            "balance_threshold": float(resolved.get("balance_threshold", 0.75)),
-            "df_threshold": float(resolved.get("df_threshold", 0.05)),
+            "balance_threshold": thresholds.balance_threshold,
+            "df_threshold": thresholds.df_threshold,
             "concurrency_file": resolved.get("concurrency_file"),
             "input": resolved["input"],
             "output": resolved["output"],
@@ -188,8 +204,9 @@ def _run_concurrency(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _load_config_file(args.config))
     if "input" not in resolved:
         raise ConfigurationError("concurrency needs --input")
+    thresholds = _thresholds(resolved)
     log, _ = _read_log(resolved["input"], _mapping_from(resolved))
-    relation = _relation_for(log, resolved)
+    relation = _relation_for(log, resolved, thresholds)
     if resolved.get("output"):
         with open(resolved["output"], "w", encoding="utf-8", newline="") as handle:
             conc.write_concurrency(relation, handle)

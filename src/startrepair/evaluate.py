@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from math import floor
 from typing import Mapping, Optional
@@ -111,14 +111,13 @@ def wasserstein_1d(a: Histogram, b: Histogram) -> float:
     total_a, total_b = a.total_mass, b.total_mass
     if total_a <= 0 or total_b <= 0:
         raise ValueError("histograms must have positive total mass")
-    indices = set(a.masses) | set(b.masses)
-    low, high = min(indices), max(indices)
-    distance = 0.0
-    cdf_a = cdf_b = 0.0
-    for index in range(low, high):
+    # the CDFs are flat between occupied bins, so sweep those alone
+    indices = sorted(set(a.masses) | set(b.masses))
+    distance = cdf_a = cdf_b = 0.0
+    for index, following in zip(indices, indices[1:]):
         cdf_a += a.masses.get(index, 0.0) / total_a
         cdf_b += b.masses.get(index, 0.0) / total_b
-        distance += abs(cdf_a - cdf_b)
+        distance += (following - index) * abs(cdf_a - cdf_b)
     return distance
 
 
@@ -133,15 +132,7 @@ class EmdReport:
     other_bins: int
 
     def to_dict(self) -> dict:
-        return {
-            "timestamp_emd": self.timestamp_emd,
-            "cycle_time_emd": self.cycle_time_emd,
-            "reference_mass": self.reference_mass,
-            "other_mass": self.other_mass,
-            "bin_width_seconds": self.bin_width_seconds,
-            "reference_bins": self.reference_bins,
-            "other_bins": self.other_bins,
-        }
+        return asdict(self)
 
 
 def evaluate_logs(

@@ -179,37 +179,49 @@ def _text_stream(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase],
     return source
 
 
-def _reader(source, mapping: ColumnMapping) -> tuple[csv.DictReader, list[str]]:
-    reader = csv.DictReader(_text_stream(source))
-    header = reader.fieldnames
+def _rows(source, mapping: ColumnMapping):
+    """Decode the CSV rows of `source` under `mapping`.
+
+    Yields `(row_number, trace, activity, first, second, resource)` per data
+    row, where `first` and `second` are the start and end cells, or the
+    timestamp and lifecycle cells of an event-per-row mapping. Cells are
+    stripped, and only `resource` may be None. Blank lines are skipped and not
+    counted; the header is row 1. A repeated header name resolves to its last
+    occurrence. A row may lack unmapped trailing cells but no mapped one, and
+    may not be longer than the header.
+    """
+    rows = csv.reader(_text_stream(source))
+    header = next(rows, None)
     if header is None:
         raise LogFormatError("input has no header row")
-    required = [mapping.trace_id, mapping.activity]
     if mapping.is_event_per_row:
-        required += [mapping.timestamp, mapping.lifecycle]
+        first, second = mapping.timestamp, mapping.lifecycle
+        what = ("trace id", "activity", "timestamp", "lifecycle")
     else:
-        required += [mapping.start_time, mapping.end_time]
+        first, second = mapping.start_time, mapping.end_time
+        what = ("trace id", "activity", "start time", "end time")
+    required = [mapping.trace_id, mapping.activity, first, second]
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigurationError(f"mapped columns missing from header: {missing}")
-    return reader, header
-
-
-def _cell(row: dict, column: Optional[str], row_number: int) -> Optional[str]:
-    if column is None or column not in row:
-        return None
-    value = row[column]
-    if value is None:
-        raise LogFormatError(f"row {row_number}: malformed CSV row (missing fields)")
-    value = value.strip()
-    return value or None
-
-
-def _required_cell(row: dict, column: str, row_number: int, what: str) -> str:
-    value = _cell(row, column, row_number)
-    if value is None:
-        raise LogFormatError(f"row {row_number}: empty {what}")
-    return value
+    position = {name: i for i, name in enumerate(header)}
+    columns = [position[c] for c in required]
+    resource = position.get(mapping.resource)
+    width, reach = len(header), max(columns + [resource or 0])
+    row_number = 1
+    for row in rows:
+        if not row:
+            continue
+        row_number += 1
+        if len(row) > width:
+            raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
+        if len(row) <= reach:
+            raise LogFormatError(f"row {row_number}: malformed CSV row (missing fields)")
+        cells = [row[i].strip() for i in columns]
+        if not all(cells):
+            raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
+        yield (row_number, *cells,
+               None if resource is None else row[resource].strip() or None)
 
 
 def _row_timestamp(raw: str, row_number: int) -> datetime:
@@ -227,32 +239,17 @@ def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[Even
     Instance-per-row inputs yield two Events per data row. Row numbers in
     error messages count the header as row 1.
     """
-    reader, _ = _reader(source, mapping)
-    events: list[Event] = []
-    for row_number, row in enumerate(reader, start=2):
-        if None in row:
-            raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
-        trace = _required_cell(row, mapping.trace_id, row_number, "trace id")
-        activity = _required_cell(row, mapping.activity, row_number, "activity")
-        resource = _cell(row, mapping.resource, row_number)
-        if mapping.is_event_per_row:
-            raw_ts = _required_cell(row, mapping.timestamp, row_number, "timestamp")
-            lifecycle = _required_cell(row, mapping.lifecycle, row_number, "lifecycle")
-            events.append(
-                Event(trace, activity, lifecycle.lower(),
+    rows = _rows(source, mapping)
+    if mapping.is_event_per_row:
+        return [Event(trace, activity, lifecycle.lower(),
                       _row_timestamp(raw_ts, row_number), resource)
-            )
-        else:
-            raw_start = _required_cell(row, mapping.start_time, row_number, "start time")
-            raw_end = _required_cell(row, mapping.end_time, row_number, "end time")
-            events.append(
-                Event(trace, activity, "start", _row_timestamp(raw_start, row_number),
-                      resource)
-            )
-            events.append(
-                Event(trace, activity, "end", _row_timestamp(raw_end, row_number),
-                      resource)
-            )
+                for row_number, trace, activity, raw_ts, lifecycle, resource in rows]
+    events: list[Event] = []
+    for row_number, trace, activity, raw_start, raw_end, resource in rows:
+        events.append(Event(trace, activity, "start",
+                            _row_timestamp(raw_start, row_number), resource))
+        events.append(Event(trace, activity, "end",
+                            _row_timestamp(raw_end, row_number), resource))
     return events
 
 
@@ -303,27 +300,12 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
     """
     if mapping.is_event_per_row:
         raise ConfigurationError("read_instance_log needs an instance-per-row mapping")
-    reader, _ = _reader(source, mapping)
-    instances = []
-    for row_number, row in enumerate(reader, start=2):
-        if None in row:
-            raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
-        instances.append(
-            ActivityInstance(
-                _required_cell(row, mapping.trace_id, row_number, "trace id"),
-                _required_cell(row, mapping.activity, row_number, "activity"),
-                _row_timestamp(
-                    _required_cell(row, mapping.start_time, row_number, "start time"),
-                    row_number,
-                ),
-                _row_timestamp(
-                    _required_cell(row, mapping.end_time, row_number, "end time"),
-                    row_number,
-                ),
-                _cell(row, mapping.resource, row_number),
-            )
-        )
-    return ActivityInstanceLog(instances)
+    return ActivityInstanceLog(
+        ActivityInstance(trace, activity, _row_timestamp(raw_start, row_number),
+                         _row_timestamp(raw_end, row_number), resource)
+        for row_number, trace, activity, raw_start, raw_end, resource
+        in _rows(source, mapping)
+    )
 
 
 def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:

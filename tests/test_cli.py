@@ -196,3 +196,64 @@ class TestConcurrencyCommand:
         out = tmp_path / "pairs.csv"
         assert run("concurrency", "--input", shipping_file, "--output", out) == 0
         assert out.read_text() == "Prepare Invoice,Prepare Package\n"
+
+
+def assert_one_line_error(err: str) -> None:
+    assert err.startswith("startrepair: error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("settings", [
+        {"bot_resources": 5},
+        {"instant_activities": ["Bill", 3]},
+        {"allow_later_start": "no"},
+        {"outlier_threshold": [2]},
+        {"df_threshold": True},
+        {"df_threshold": 10**400},
+    ])
+    def test_bad_value_is_a_one_line_error(self, shipping_file, tmp_path, capsys,
+                                                settings):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "out.csv"
+        assert run("repair", "--input", shipping_file, "--output", out,
+                   "--config", config) == 1
+        assert_one_line_error(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_label_list_and_boolean_accepted(self, shipping_file, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bot_resources": ["Leela", "Fry"],
+                                      "allow_later_start": False}))
+        assert run("repair", "--input", shipping_file, "--output", tmp_path / "out.csv",
+                   "--config", config) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["bot_resources"] == ["Fry", "Leela"]
+        assert report["config"]["allow_later_start"] is False
+
+    def test_null_means_not_given(self, shipping_file, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": None, "output": str(tmp_path / "o.csv")}))
+        assert run("repair", "--config", config) == 1
+        assert capsys.readouterr().err == (
+            "startrepair: error: repair needs --input and --output\n")
+
+    def test_oracle_thresholds_checked_with_concurrency_file(self, shipping_file,
+                                                             tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("Register Order,Deliver Package\n")
+        out = tmp_path / "out.csv"
+        assert run("repair", "--input", shipping_file, "--output", out,
+                   "--concurrency-file", pairs,
+                   "--df-threshold", 7, "--balance-threshold", -3) == 1
+        assert_one_line_error(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_default_report_echoes_oracle_thresholds(self, shipping_file, tmp_path,
+                                                     capsys):
+        assert run("repair", "--input", shipping_file,
+                   "--output", tmp_path / "out.csv") == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["df_threshold"], config["balance_threshold"]) == (0.05, 0.75)
+        assert config["statistic"] == "median"

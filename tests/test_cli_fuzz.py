@@ -1,0 +1,131 @@
+"""Never-a-traceback property: any CSV input ends in exit 0, or in exit 1
+with a single `startrepair: error:` line."""
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import os
+import tempfile
+from datetime import datetime, timedelta
+
+from hypothesis import event, given, settings, strategies as st
+
+from startrepair.cli import main
+
+INSTANCE_HEADER = ["case_id", "activity", "start_time", "end_time", "resource"]
+EVENT_HEADER = ["case_id", "activity", "timestamp", "lifecycle", "resource"]
+
+
+@st.composite
+def offsets(draw) -> str:
+    minutes = draw(st.integers(min_value=-23 * 60 - 59, max_value=23 * 60 + 59))
+    sign = "-" if minutes < 0 else "+"
+    return draw(st.sampled_from(["", "Z", f"{sign}{abs(minutes) // 60:02d}:"
+                                               f"{abs(minutes) % 60:02d}"]))
+
+
+def _near(moment: datetime, days: int):
+    low, high = sorted((moment, moment + timedelta(days=days)))
+    return st.datetimes(min_value=low, max_value=high)
+
+
+@st.composite
+def spans(draw) -> tuple[str, str]:
+    """A start and an end text with a shared offset, at ordinary dates or
+    within two days of the first or last representable day."""
+    start = draw(st.one_of(_near(datetime(2021, 3, 1), 3), _near(datetime.min, 2),
+                           _near(datetime.max, -2)))
+    end = draw(st.datetimes(min_value=start, max_value=start + min(
+        timedelta(hours=6), datetime.max - start)))
+    separator, offset = draw(st.sampled_from([" ", "T"])), draw(offsets())
+    return (start.isoformat(sep=separator) + offset,
+            end.isoformat(sep=separator) + offset)
+
+
+labels = {
+    "case_id": st.sampled_from(["1", "2", "3"]),
+    "activity": st.sampled_from(["a", "b", "c,d", 'say "x"']),
+    "resource": st.sampled_from(["r1", "r2", "", "bot"]),
+    "lifecycle": st.sampled_from(["start", "END", "complete"]),
+}
+faults = st.one_of(st.sampled_from(["", " ", "soon", "2021-13-01", "2021-02-30 10:00",
+                                    "2021-03-01 25:00"]),
+                   st.text(max_size=6))
+
+
+@st.composite
+def rows(draw, header: list[str]) -> list[str]:
+    """Mostly well-formed; now and then a faulty cell or a wrong field count."""
+    start, end = draw(spans())
+    moments = {"start_time": start, "end_time": end,
+               "timestamp": draw(st.sampled_from([start, end]))}
+    row = [draw(faults) if draw(st.integers(0, 15)) == 0
+           else moments[name] if name in moments else draw(labels.get(name, faults))
+           for name in header]
+    if draw(st.integers(0, 9)) == 0:
+        row = (row + ["x", "y"])[:draw(st.integers(0, len(row) + 2))]
+    return row
+
+
+@st.composite
+def csv_logs(draw) -> tuple[str, bool]:
+    """(CSV text, whether it is event-per-row)."""
+    evented = draw(st.booleans())
+    header = EVENT_HEADER if evented else INSTANCE_HEADER
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.permutations(header + ["note"]))[:draw(st.integers(0, 6))]
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 7)) == 0:
+            sink.write("\n")
+        else:
+            writer.writerow(draw(rows(header)))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + sink.getvalue(), evented
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.startswith("startrepair: error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+repair_flags = st.sampled_from([
+    [], ["--outlier-threshold", "2"], ["--statistic", "mode", "--outlier-threshold", "1.5"],
+    ["--allow-later-start"], ["--bot-resources", "bot", "--instant-activities", "b"],
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_logs(), repair_flags)
+def test_any_csv_repairs_or_fails_in_one_line(log, flags):
+    text, evented = log
+    mapping = ["--timestamp-column", "timestamp", "--lifecycle-column",
+               "lifecycle"] if evented else []
+    with tempfile.TemporaryDirectory() as directory:
+        source = os.path.join(directory, "in.csv")
+        repaired = os.path.join(directory, "out.csv")
+        with open(source, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        code, err = run_quietly(["repair", "--input", source, "--output", repaired,
+                                 *mapping, *flags])
+        assert_clean_exit(code, err)
+        event("repaired" if code == 0 else "rejected")
+        assert_clean_exit(*run_quietly(["evaluate", "--reference", source,
+                                        "--other", source, *mapping]))
+        if code == 0 and not evented:
+            assert_clean_exit(*run_quietly(["evaluate", "--reference", source,
+                                            "--other", repaired]))

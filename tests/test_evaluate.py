@@ -121,6 +121,9 @@ class TestWasserstein:
     def test_split_mass_example(self):
         assert wasserstein_1d(histogram({0: 1, 2: 1}), histogram({1: 2})) == 1.0
 
+    def test_cost_follows_occupied_bins_not_index_span(self):
+        assert wasserstein_1d(histogram({0: 1}), histogram({10**9: 1})) == 1e9
+
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             wasserstein_1d(histogram({0: 1}),

@@ -98,6 +98,80 @@ class TestParseEventLog:
             io.StringIO(shipping_csv()), ColumnMapping())
 
 
+HEADER = "case_id,activity,start_time,end_time,resource\n"
+ROW = "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry\n"
+
+# both instance-row readers must apply the same row rules
+INSTANCE_READERS = {
+    "read_instance_log": lambda source: list(read_instance_log(source)),
+    "parse_event_log": lambda source: parse_event_log(source, ColumnMapping()),
+}
+
+
+@pytest.fixture(params=sorted(INSTANCE_READERS))
+def read_rows(request):
+    return lambda text: INSTANCE_READERS[request.param](io.StringIO(text))
+
+
+class TestRowRules:
+    def test_blank_lines_skipped_and_not_counted(self, read_rows):
+        assert read_rows(HEADER + "\n" + ROW + "\n\n") == read_rows(HEADER + ROW)
+        with pytest.raises(LogFormatError, match=r"^row 3: unparseable timestamp"):
+            read_rows(HEADER + "\n" + ROW + "\n"
+                      + "24,Pack,soon,2021-03-07 13:05:37,Fry\n")
+
+    def test_extra_fields_rejected(self, read_rows):
+        with pytest.raises(LogFormatError,
+                           match=r"^row 3: malformed CSV row \(extra fields\)$"):
+            read_rows(HEADER + ROW + ROW.replace("Fry", "Fry,spare"))
+
+    def test_missing_mapped_field_rejected(self, read_rows):
+        with pytest.raises(LogFormatError,
+                           match=r"^row 2: malformed CSV row \(missing fields\)$"):
+            read_rows(HEADER + ROW.replace(",Fry", ""))
+
+    def test_missing_unmapped_trailing_field_accepted(self, read_rows):
+        rows = read_rows(HEADER.replace("resource", "resource,note") + ROW)
+        assert rows == read_rows(HEADER + ROW)
+
+    def test_repeated_header_name_resolves_to_last(self, read_rows):
+        rows = read_rows(HEADER.replace("activity", "activity,activity")
+                         + ROW.replace("Register Order", "first,Register Order"))
+        assert rows == read_rows(HEADER + ROW)
+
+    def test_empty_input_has_no_header(self, read_rows):
+        with pytest.raises(LogFormatError, match="^input has no header row$"):
+            read_rows("")
+
+    @pytest.mark.parametrize("row, message", [
+        (" ,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry",
+         "row 2: empty trace id"),
+        ("23,,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry", "row 2: empty activity"),
+        ("23,Register Order,,2021-03-07 13:05:37,Fry", "row 2: empty start time"),
+        ("23,Register Order,2021-03-07 12:59:21,,Fry", "row 2: empty end time"),
+        ("23,Register Order,soon,2021-03-07 13:05:37,Fry",
+         "row 2: unparseable timestamp 'soon'"),
+        ("23,Register Order,2021-03-07 12:59:21,later,Fry",
+         "row 2: unparseable timestamp 'later'"),
+    ])
+    def test_single_fault_messages(self, read_rows, row, message):
+        with pytest.raises(LogFormatError) as error:
+            read_rows(HEADER + row + "\n")
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        ("23,Register Order,,start,Fry", "row 2: empty timestamp"),
+        ("23,Register Order,2021-03-07 12:59:21, ,Fry", "row 2: empty lifecycle"),
+        ("23,Register Order,soon,start,Fry", "row 2: unparseable timestamp 'soon'"),
+    ])
+    def test_event_row_single_fault_messages(self, row, message):
+        source = io.StringIO("case_id,activity,timestamp,lifecycle,resource\n"
+                             + row + "\n")
+        with pytest.raises(LogFormatError) as error:
+            parse_event_log(source, EVENT_COLUMNS)
+        assert str(error.value) == message
+
+
 class TestPairing:
     def test_shipping_log_pairs_bit_exact(self):
         events = parse_event_log(io.StringIO(shipping_csv()), ColumnMapping())
