@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import Optional
 
@@ -23,28 +22,33 @@ from .model import (
     to_activity_instances,
     write_activity_instance_log,
 )
-from .repair import RepairConfig, repair_start_times
+from .repair import STATISTICS, RepairConfig, repair_start_times
 
-# column flag -> the ColumnMapping field it names
+# column setting -> the ColumnMapping field it names
 _COLUMN_KEYS = {
     "case_column": "trace_id", "activity_column": "activity",
     "start_column": "start_time", "end_column": "end_time",
     "timestamp_column": "timestamp", "lifecycle_column": "lifecycle",
     "resource_column": "resource",
 }
-_LABELS = (str, list)
-_TYPE_NAMES = {str: "a string", float: "a number", bool: "true or false",
-               _LABELS: "a string or a list of strings"}
+# a setting's kind: (JSON types of its config-file value, their description,
+# the argparse keywords of its --key-name flag)
+_TEXT = (str, "a string", {})
+_NUMBER = (float, "a number", {"type": float})
+_SWITCH = (bool, "true or false", {"action": "store_const", "const": True})
+_LABELS = ((str, list), "a string or a list of strings",
+           {"help": "comma-separated labels"})
+_STATISTIC = (str, "a string", {"choices": STATISTICS})
 
-# keys accepted in the flat JSON config file, with their JSON types;
-# command-line flags override
+# every setting, with its kind: the keys of the flat JSON config file and the
+# flags of the subcommands that take them; flags override the file
 CONFIG_KEYS = {
-    "input": str, "output": str, "report": str,
-    **dict.fromkeys(_COLUMN_KEYS, str),
-    "statistic": str, "outlier_threshold": float,
+    "input": _TEXT, "output": _TEXT, "report": _TEXT,
+    **dict.fromkeys(_COLUMN_KEYS, _TEXT),
+    "statistic": _STATISTIC, "outlier_threshold": _NUMBER,
     "bot_resources": _LABELS, "instant_activities": _LABELS,
-    "allow_later_start": bool,
-    "balance_threshold": float, "df_threshold": float, "concurrency_file": str,
+    "allow_later_start": _SWITCH,
+    "balance_threshold": _NUMBER, "df_threshold": _NUMBER, "concurrency_file": _TEXT,
 }
 
 
@@ -61,10 +65,10 @@ def _load_config_file(path: Optional[str]) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {unknown}")
     for key, value in data.items():
-        kind = CONFIG_KEYS[key]
-        if value is not None and not isinstance(value, kind):
+        types, description, _ = CONFIG_KEYS[key]
+        if value is not None and not isinstance(value, types):
             raise ConfigurationError(
-                f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+                f"config key {key!r} must be {description}, got {json.dumps(value)}")
     return {key: value for key, value in data.items() if value is not None}
 
 
@@ -84,16 +88,13 @@ def _given(resolved: dict, *keys: str) -> dict:
 
 
 def _label_set(value) -> frozenset:
-    """A comma-separated list, a JSON list, or a path to a file of labels."""
+    """A comma-separated list or a JSON list of labels."""
     if value is None:
         return frozenset()
     if isinstance(value, list):
         if not all(isinstance(v, str) for v in value):
             raise ConfigurationError(f"label lists must hold strings, got {json.dumps(value)}")
         return frozenset(value)
-    if os.path.isfile(value):
-        with open(value, encoding="utf-8") as handle:
-            return frozenset(line.strip() for line in handle if line.strip())
     return frozenset(part.strip() for part in value.split(",") if part.strip())
 
 
@@ -179,7 +180,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     other, _ = _read_log(args.other, mapping)
     report = ev.evaluate_logs(reference, other, dump_dir=args.dump_histograms)
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     else:
         print(f"timestamp EMD (hours):      {report.timestamp_emd:.6f}")
         print(f"cycle-time EMD (bin units): {report.cycle_time_emd:.6f}")
@@ -215,20 +216,11 @@ def _run_concurrency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_mapping_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--case-column", dest="case_column")
-    parser.add_argument("--activity-column", dest="activity_column")
-    parser.add_argument("--start-column", dest="start_column")
-    parser.add_argument("--end-column", dest="end_column")
-    parser.add_argument("--timestamp-column", dest="timestamp_column")
-    parser.add_argument("--lifecycle-column", dest="lifecycle_column")
-    parser.add_argument("--resource-column", dest="resource_column")
-
-
-def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--balance-threshold", dest="balance_threshold", type=float)
-    parser.add_argument("--df-threshold", dest="df_threshold", type=float)
-    parser.add_argument("--concurrency-file", dest="concurrency_file")
+def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
+    """`--config` plus one `--key-name` flag per setting, typed by its kind."""
+    parser.add_argument("--config")
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), **CONFIG_KEYS[key][2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,20 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     repair = sub.add_parser("repair", help="repair start times of an event log")
-    repair.add_argument("--input", dest="input")
-    repair.add_argument("--output", dest="output")
-    repair.add_argument("--config")
-    repair.add_argument("--report", dest="report")
-    repair.add_argument("--statistic", choices=("median", "mode"))
-    repair.add_argument("--outlier-threshold", dest="outlier_threshold", type=float)
-    repair.add_argument("--bot-resources", dest="bot_resources",
-                        help="comma list or file of bot resource labels")
-    repair.add_argument("--instant-activities", dest="instant_activities",
-                        help="comma list or file of instant activity labels")
-    repair.add_argument("--allow-later-start", dest="allow_later_start",
-                        action="store_const", const=True)
-    _add_oracle_flags(repair)
-    _add_mapping_flags(repair)
+    _add_settings(repair, CONFIG_KEYS)
     repair.set_defaults(handler=_run_repair)
 
     evaluate = sub.add_parser("evaluate", help="EMD comparison of two logs")
@@ -260,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--other", required=True)
     evaluate.add_argument("--format", choices=("json", "text"), default="json")
     evaluate.add_argument("--dump-histograms", dest="dump_histograms")
-    evaluate.add_argument("--config")
-    _add_mapping_flags(evaluate)
+    _add_settings(evaluate, _COLUMN_KEYS)
     evaluate.set_defaults(handler=_run_evaluate)
 
     generate = sub.add_parser("generate", help="generate a synthetic log pair")
@@ -272,11 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     concurrency = sub.add_parser("concurrency",
                                  help="discover or echo the concurrency relation")
-    concurrency.add_argument("--input", dest="input")
-    concurrency.add_argument("--output", dest="output")
-    concurrency.add_argument("--config")
-    _add_oracle_flags(concurrency)
-    _add_mapping_flags(concurrency)
+    _add_settings(concurrency, ("input", "output", "balance_threshold", "df_threshold",
+                                "concurrency_file", *_COLUMN_KEYS))
     concurrency.set_defaults(handler=_run_concurrency)
     return parser
 

@@ -99,20 +99,13 @@ def discover_concurrency(
     """Declare {a, b} concurrent when both directions survive the noise filter
     and the directional imbalance stays below the balance threshold."""
     pairs = []
-    seen = set()
-    for a, b in counts:
-        if a == b:
-            continue
-        key = (a, b) if a <= b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
+    for a, b in counts:  # ConcurrencyRelation normalises pairs, drops reflexive ones
         ab, ba = counts[(a, b)], counts[(b, a)]
         floor = thresholds.df_threshold * max(ab, ba)
         ab = ab if ab >= floor else 0
         ba = ba if ba >= floor else 0
         if ab > 0 and ba > 0 and abs(ab - ba) / (ab + ba) < thresholds.balance_threshold:
-            pairs.append(key)
+            pairs.append((a, b))
     return ConcurrencyRelation(pairs)
 
 

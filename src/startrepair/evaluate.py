@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import floor
 from typing import Mapping, Optional
@@ -130,9 +130,6 @@ class EmdReport:
     bin_width_seconds: float  # cycle-time bin width W
     reference_bins: int
     other_bins: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_logs(

@@ -6,10 +6,10 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError
+from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, parse_timestamp
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
@@ -32,7 +32,6 @@ class GenSpec:
     stages: tuple = (("Register",), ("Pack", "Invoice"), ("Deliver",))
     resource_count: int = 3
     duration_range: tuple[int, int] = (60, 3600)
-    duration_ranges: Optional[Mapping[str, tuple[int, int]]] = None
     delay_range: tuple[int, int] = (0, 1800)
     arrival_gap_range: tuple[int, int] = (60, 1800)
     missing_resource_rate: float = 0.0
@@ -77,14 +76,7 @@ class GenSpec:
         for key in ("duration_range", "delay_range", "arrival_gap_range"):
             if key in known:
                 known[key] = tuple(known[key])
-        if "duration_ranges" in known and known["duration_ranges"] is not None:
-            known["duration_ranges"] = {
-                activity: tuple(bounds)
-                for activity, bounds in known["duration_ranges"].items()
-            }
         if "first_arrival" in known and isinstance(known["first_arrival"], str):
-            from .model import parse_timestamp
-
             known["first_arrival"] = parse_timestamp(known["first_arrival"])
         try:
             return cls(**known)
@@ -94,12 +86,6 @@ class GenSpec:
     @classmethod
     def from_json(cls, source) -> "GenSpec":
         return cls.from_dict(json.load(source))
-
-
-def _duration_bounds(spec: GenSpec, activity: str) -> tuple[int, int]:
-    if spec.duration_ranges and activity in spec.duration_ranges:
-        return spec.duration_ranges[activity]
-    return spec.duration_range
 
 
 def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
@@ -132,7 +118,7 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
                     start = enablement
                 else:
                     start = max(enablement, free)
-                duration = rng.randint(*_duration_bounds(spec, activity))
+                duration = rng.randint(*spec.duration_range)
                 end = start + timedelta(seconds=duration)
                 resource_free[resource] = end
                 recorded_resource: Optional[str] = resource

@@ -20,18 +20,19 @@ RULE_BOT_OR_INSTANT = "bot_or_instant"
 RULE_NO_EVIDENCE = "no_evidence"
 ALL_RULES = (RULE_ESTIMATED, RULE_CLAMPED, RULE_CAPPED, RULE_BOT_OR_INSTANT,
              RULE_NO_EVIDENCE)
+STATISTICS = ("median", "mode")  # typical repaired duration for the outlier cap
 
 
 @dataclass(frozen=True)
 class RepairConfig:
-    statistic: str = "median"  # "median" or "mode"
+    statistic: str = "median"  # one of STATISTICS
     outlier_threshold: Optional[float] = None  # > 1; None disables capping
     bot_resources: frozenset = frozenset()
     instant_activities: frozenset = frozenset()
     allow_later_start: bool = False
 
     def __post_init__(self):
-        if self.statistic not in ("median", "mode"):
+        if self.statistic not in STATISTICS:
             raise ConfigurationError(f"unknown statistic: {self.statistic!r}")
         threshold = self.outlier_threshold
         if threshold is not None and not (isfinite(threshold) and threshold > 1):
@@ -169,9 +170,10 @@ def repair_start_times(
     is set, pass 2 fixes each activity's cap at threshold * typical repaired
     duration and pass 3 shortens longer repaired durations to it. Estimates are
     then clamped so starts never move past the recorded start (unless
-    `allow_later_start`) nor past the end. Instances flagged bot/instant keep
-    start = end regardless of clamping; instances with no evidence keep their
-    recorded start.
+    `allow_later_start`); RAT and ENT lie strictly before the end and the cap is
+    non-negative, so no estimate passes the end. Instances flagged bot/instant
+    keep start = end regardless of clamping; instances with no evidence keep
+    their recorded start.
     """
     records = [(instance, *_anchors(instance, log, relation, config))
                for instance in log.instances]
@@ -204,8 +206,6 @@ def repair_start_times(
             repaired = earliest
             if not config.allow_later_start and repaired > instance.start:
                 repaired, rule = instance.start, RULE_CLAMPED
-            if repaired > instance.end:
-                repaired = instance.end
         repaired_instances.append(ActivityInstance(
             instance.trace_id, instance.activity, repaired, instance.end,
             instance.resource))

@@ -23,6 +23,7 @@ from startrepair.repair import (
     RULE_BOT_OR_INSTANT,
     RULE_CLAMPED,
     RULE_NO_EVIDENCE,
+    STATISTICS,
 )
 
 from .conftest import find, ts
@@ -347,3 +348,18 @@ class TestRepairProperties:
     def test_rule_counts_sum_to_instances(self, log):
         outcome = repair_start_times(log, discover_from_log(log))
         assert sum(outcome.rule_counts().values()) == len(log)
+
+    @given(instance_logs(max_size=12),
+           st.sampled_from([None, 1.5, 2.0, 5.0]),
+           st.sampled_from(STATISTICS),
+           st.frozensets(st.sampled_from(("r1", "r2"))),
+           st.booleans())
+    def test_repaired_start_never_passes_end(self, log, threshold, statistic, bots,
+                                             allow_later_start):
+        config = RepairConfig(statistic=statistic, outlier_threshold=threshold,
+                              bot_resources=bots, allow_later_start=allow_later_start)
+        outcome = repair_start_times(log, discover_from_log(log), config)
+        for record, after in zip(outcome.per_instance, outcome.repaired_log.instances):
+            assert after.start <= after.end
+            if record.earliest_start is not None:
+                assert record.earliest_start <= after.end

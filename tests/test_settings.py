@@ -1,0 +1,102 @@
+"""Each CLI setting is declared once, in `CONFIG_KEYS`: its flag and its
+config-file key mean the same, and no setting has a second, hidden form."""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from startrepair import repair
+from startrepair.cli import CONFIG_KEYS
+
+from .conftest import SHIPPING_ROWS, shipping_csv
+from .test_cli import assert_one_line_error, run
+
+# column setting -> the default column name it renames
+COLUMN_DEFAULTS = {
+    "case_column": "case_id", "activity_column": "activity",
+    "start_column": "start_time", "end_column": "end_time",
+    "timestamp_column": "timestamp", "lifecycle_column": "lifecycle",
+    "resource_column": "resource",
+}
+# a non-default value for every setting that is not a path
+SAMPLES = {
+    "statistic": "mode", "outlier_threshold": 2.5,
+    "bot_resources": "Leela,Fry", "instant_activities": "Deliver Package",
+    "allow_later_start": True, "balance_threshold": 0.5, "df_threshold": 0.5,
+    **dict.fromkeys(COLUMN_DEFAULTS, "renamed"),
+}
+
+
+def flag(key: str, value) -> list:
+    name = "--" + key.replace("_", "-")
+    return [name] if value is True else [name, value]
+
+
+def shipping_events_csv() -> str:
+    lines = ["case_id,activity,timestamp,lifecycle,resource"]
+    for trace, activity, start, end, resource in SHIPPING_ROWS:
+        lines.append(f"{trace},{activity},{start},start,{resource}")
+        lines.append(f"{trace},{activity},{end},end,{resource}")
+    return "\n".join(lines) + "\n"
+
+
+def test_every_setting_has_a_sample_or_is_a_path():
+    paths = {"input", "output", "report", "concurrency_file"}
+    assert set(SAMPLES) | paths == set(CONFIG_KEYS)
+    assert SAMPLES["statistic"] in repair.STATISTICS
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_flag_and_config_file_value_echo_alike(key, tmp_path):
+    text = shipping_csv()
+    if key in ("timestamp_column", "lifecycle_column"):
+        text = shipping_events_csv()
+    header, rows = text.split("\n", 1)
+    if key in COLUMN_DEFAULTS:
+        header = ",".join(SAMPLES[key] if name == COLUMN_DEFAULTS[key] else name
+                          for name in header.split(","))
+    source, pairs = tmp_path / "in.csv", tmp_path / "pairs.csv"
+    source.write_text(header + "\n" + rows)
+    pairs.write_text("Register Order,Deliver Package\n")
+    output, report = tmp_path / "out.csv", tmp_path / "report.json"
+    paths = {"input": source, "output": output, "report": report}
+    value = SAMPLES[key] if key in SAMPLES else str({**paths, "concurrency_file": pairs}[key])
+    fixed = [arg for other, path in paths.items() if other != key
+             for arg in flag(other, path)]
+    config = tmp_path / "config.json"
+    results = []
+    for given in ("flag", "file", None):
+        config.write_text(json.dumps({key: value} if given == "file" else {}))
+        extra = flag(key, value) if given == "flag" else []
+        code = run("repair", "--config", config, *fixed, *extra)
+        results.append((code, *(path.read_bytes() if path.exists() else None
+                                for path in (report, output))))
+        report.unlink(missing_ok=True)
+        output.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+    assert results[2] != results[0]  # the sample is not the default
+
+
+def test_label_naming_a_file_stays_a_label(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Fry").write_text("Leela\n")
+    (tmp_path / "in.csv").write_text(shipping_csv())
+    assert run("repair", "--input", "in.csv", "--output", "out.csv",
+               "--bot-resources", "Fry") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["bot_resources"] == ["Fry"]
+    assert report["rule_counts"]["bot_or_instant"] == 2  # Fry's two instances
+
+
+@pytest.mark.parametrize("bounds", [[0, 0], [30, 60], [5, 1]])
+def test_generator_spec_with_duration_ranges_is_an_error(tmp_path, capsys, bounds):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "trace_count": 3,
+                                "duration_ranges": {"Register": bounds}}))
+    truth = tmp_path / "t.csv"
+    assert run("generate", "--spec", spec, "--out-truth", truth,
+               "--out-corrupted", tmp_path / "c.csv") == 1
+    assert_one_line_error(capsys.readouterr().err)
+    assert not truth.exists()
