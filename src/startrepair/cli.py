@@ -52,16 +52,17 @@ CONFIG_KEYS = {
 }
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    """Config-file settings, typed as the flags would give them; null means
-    not given. JSON numbers are read as floats, as the flags read them."""
+def _load_config_file(path: Optional[str], keys) -> dict:
+    """Config-file settings among `keys`, typed as the flags would give them;
+    null means not given. JSON numbers are read as floats, as the flags read
+    them."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle, parse_int=float)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {unknown}")
     for key, value in data.items():
@@ -72,11 +73,12 @@ def _load_config_file(path: Optional[str]) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def _resolve(args: argparse.Namespace, file_values: dict) -> dict:
-    """Merge config-file values with flags; flags win when given."""
-    resolved = dict(file_values)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
+def _resolve(args: argparse.Namespace) -> dict:
+    """The subcommand's settings: its config-file values merged with its
+    flags, which win when given."""
+    resolved = _load_config_file(args.config, args.setting_keys)
+    for key in args.setting_keys:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
@@ -137,7 +139,7 @@ def _emit_report(report: dict, path: Optional[str]) -> None:
 
 
 def _run_repair(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _load_config_file(args.config))
+    resolved = _resolve(args)
     if "input" not in resolved or "output" not in resolved:
         raise ConfigurationError("repair needs --input and --output")
     thresholds = _thresholds(resolved)
@@ -175,7 +177,7 @@ def _run_repair(args: argparse.Namespace) -> int:
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
-    mapping = _mapping_from(_resolve(args, _load_config_file(args.config)))
+    mapping = _mapping_from(_resolve(args))
     reference, _ = _read_log(args.reference, mapping)
     other, _ = _read_log(args.other, mapping)
     report = ev.evaluate_logs(reference, other, dump_dir=args.dump_histograms)
@@ -202,7 +204,7 @@ def _run_generate(args: argparse.Namespace) -> int:
 
 
 def _run_concurrency(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _load_config_file(args.config))
+    resolved = _resolve(args)
     if "input" not in resolved:
         raise ConfigurationError("concurrency needs --input")
     thresholds = _thresholds(resolved)
@@ -217,8 +219,10 @@ def _run_concurrency(args: argparse.Namespace) -> int:
 
 
 def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
-    """`--config` plus one `--key-name` flag per setting, typed by its kind."""
+    """`--config` plus one `--key-name` flag per setting, typed by its kind;
+    `keys` are also the only settings the subcommand's config file may hold."""
     parser.add_argument("--config")
+    parser.set_defaults(setting_keys=tuple(keys))
     for key in keys:
         parser.add_argument("--" + key.replace("_", "-"), **CONFIG_KEYS[key][2])
 
@@ -261,7 +265,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.handler(args)
     except (ConfigurationError, LogFormatError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         print(f"startrepair: error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,10 +43,6 @@ class ConcurrencyRelation:
             cleaned.add((a, b) if a <= b else (b, a))
         self.pairs: frozenset[tuple[str, str]] = frozenset(cleaned)
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        a, b = pair
-        return ((a, b) if a <= b else (b, a)) in self.pairs
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -56,7 +52,7 @@ class ConcurrencyRelation:
         return self.pairs == other.pairs
 
     def concurrent(self, a: str, b: str) -> bool:
-        return (a, b) in self
+        return ((a, b) if a <= b else (b, a)) in self.pairs
 
     def sorted_pairs(self) -> list[tuple[str, str]]:
         return sorted(self.pairs)

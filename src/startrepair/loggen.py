@@ -14,6 +14,35 @@ from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, pa
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_stage(value) -> bool:
+    return isinstance(value, str) or (
+        isinstance(value, list) and all(isinstance(v, str) for v in value))
+
+
+_INTEGER = ("an integer", _is_integer, None)
+_RANGE = ("a [low, high] pair of integers",
+          lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_integer, v)),
+          tuple)
+# generator spec key -> (what its JSON value must be, the test of the value,
+# its conversion to the GenSpec field, if any); README lists the same keys
+SPEC_KEYS = {
+    "seed": _INTEGER, "trace_count": _INTEGER, "resource_count": _INTEGER,
+    "stages": ("a list of activities or lists of activities",
+               lambda v: isinstance(v, list) and all(map(_is_stage, v)),
+               lambda v: tuple((s,) if isinstance(s, str) else tuple(s) for s in v)),
+    "duration_range": _RANGE, "delay_range": _RANGE, "arrival_gap_range": _RANGE,
+    "missing_resource_rate": ("a number",
+                              lambda v: _is_integer(v) or isinstance(v, float), None),
+    "multitasking": ("true or false", lambda v: isinstance(v, bool), None),
+    "first_arrival": ("an ISO 8601 timestamp", lambda v: isinstance(v, str),
+                      parse_timestamp),
+}
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Generation parameters. Identical specs always produce identical logs.
@@ -67,20 +96,22 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
-        known = dict(data)
-        if "stages" in known:
-            known["stages"] = tuple(
-                (stage,) if isinstance(stage, str) else tuple(stage)
-                for stage in known["stages"]
-            )
-        for key in ("duration_range", "delay_range", "arrival_gap_range"):
-            if key in known:
-                known[key] = tuple(known[key])
-        if "first_arrival" in known and isinstance(known["first_arrival"], str):
-            known["first_arrival"] = parse_timestamp(known["first_arrival"])
+        """A spec from JSON values, each checked and converted as `SPEC_KEYS` says."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("bad generator spec: expected a JSON object")
+        unknown = sorted(set(data) - set(SPEC_KEYS))
+        if unknown:
+            raise ConfigurationError(f"bad generator spec: unknown keys {unknown}")
+        fields = {}
+        for key, value in data.items():
+            description, valid, convert = SPEC_KEYS[key]
+            if not valid(value):
+                raise ConfigurationError(f"bad generator spec: {key!r} must be "
+                                         f"{description}, got {json.dumps(value)}")
+            fields[key] = convert(value) if convert else value
         try:
-            return cls(**known)
-        except TypeError as exc:
+            return cls(**fields)
+        except TypeError as exc:  # a required key is missing
             raise ConfigurationError(f"bad generator spec: {exc}") from None
 
     @classmethod

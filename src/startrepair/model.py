@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
+_end = attrgetter("end")
 
 
 class LogFormatError(ValueError):
@@ -79,26 +81,26 @@ class ActivityInstance:
 
 
 class ActivityInstanceLog:
-    """Ordered collection of activity instances with per-resource and per-trace
-    indexes sorted by end time. Immutable after construction."""
+    """Ordered collection of activity instances, immutable after construction.
+    Its per-resource and per-trace indexes, sorted by end time, are built on
+    first use and cached, so a log that is only written never builds one."""
 
     def __init__(self, instances: Iterable[ActivityInstance]):
         self.instances: tuple[ActivityInstance, ...] = tuple(instances)
-        by_resource: dict[Optional[str], list[ActivityInstance]] = defaultdict(list)
-        by_trace: dict[str, list[ActivityInstance]] = defaultdict(list)
+
+    def _grouped_by_end(self, field: str) -> dict:
+        groups, key = defaultdict(list), attrgetter(field)
         for inst in self.instances:
-            by_resource[inst.resource].append(inst)
-            by_trace[inst.trace_id].append(inst)
-        self.per_resource_index = {
-            r: tuple(sorted(v, key=lambda i: i.end)) for r, v in by_resource.items()
-        }
-        self.per_trace_index = {
-            t: tuple(sorted(v, key=lambda i: i.end)) for t, v in by_trace.items()
-        }
-        # cached end-time key arrays for O(log n) strictly-before lookups
-        self._resource_ends = {
-            r: [i.end for i in v] for r, v in self.per_resource_index.items()
-        }
+            groups[key(inst)].append(inst)
+        return {k: tuple(sorted(v, key=_end)) for k, v in groups.items()}
+
+    @cached_property
+    def per_resource_index(self) -> dict[Optional[str], tuple[ActivityInstance, ...]]:
+        return self._grouped_by_end("resource")
+
+    @cached_property
+    def per_trace_index(self) -> dict[str, tuple[ActivityInstance, ...]]:
+        return self._grouped_by_end("trace_id")
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -113,14 +115,6 @@ class ActivityInstanceLog:
 
     def activities(self) -> set[str]:
         return {inst.activity for inst in self.instances}
-
-    def last_end_before(self, resource: str, end: datetime) -> Optional[datetime]:
-        """Largest end time of `resource` strictly before `end`."""
-        ends = self._resource_ends.get(resource)
-        if not ends:
-            return None
-        i = bisect_left(ends, end)
-        return ends[i - 1] if i > 0 else None
 
 
 @dataclass(frozen=True)

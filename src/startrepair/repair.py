@@ -7,11 +7,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import floor, isfinite
-from operator import attrgetter
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError
+from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, _end
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -71,6 +70,22 @@ class RepairOutcome:
         return counts
 
 
+def _last_end_before(group: tuple[ActivityInstance, ...], end: datetime,
+                     relation: Optional[ConcurrencyRelation] = None,
+                     activity: Optional[str] = None) -> Optional[datetime]:
+    """The one anchor lookup of RAT and ENT: the largest end in the end-sorted
+    `group` strictly before `end`, skipping instances that `relation` declares
+    concurrent with `activity`. A bisection, then a walk back past concurrent
+    instances only: O(log k + c) for k instances, c of them skipped."""
+    i = bisect_left(group, end, key=_end)
+    while i > 0:
+        i -= 1
+        other = group[i]
+        if relation is None or not relation.concurrent(other.activity, activity):
+            return other.end  # group is end-sorted, first hit is the max
+    return None
+
+
 def resource_availability_time(
     instance: ActivityInstance, log: ActivityInstanceLog
 ) -> Optional[datetime]:
@@ -78,10 +93,7 @@ def resource_availability_time(
     before this instance's end; None for the resource's first instance."""
     if instance.resource is None:
         return None
-    return log.last_end_before(instance.resource, instance.end)
-
-
-_end = attrgetter("end")
+    return _last_end_before(log.per_resource_index.get(instance.resource, ()), instance.end)
 
 
 def enablement_time(
@@ -90,20 +102,9 @@ def enablement_time(
     relation: ConcurrencyRelation,
 ) -> Optional[datetime]:
     """Largest end time among same-trace instances ending strictly before this
-    instance's end whose activity is not concurrent with it; None when empty.
-
-    A bisection on the end-sorted trace index finds the instances ending
-    strictly before, then the walk back skips only concurrent ones: O(log k + c)
-    for a trace of k instances with c concurrent instances just before.
-    """
-    candidates = log.per_trace_index.get(instance.trace_id, ())
-    i = bisect_left(candidates, instance.end, key=_end)
-    while i > 0:
-        i -= 1
-        other = candidates[i]
-        if not relation.concurrent(other.activity, instance.activity):
-            return other.end  # index is end-sorted, first hit is the max
-    return None
+    instance's end whose activity is not concurrent with it; None when empty."""
+    return _last_end_before(log.per_trace_index.get(instance.trace_id, ()), instance.end,
+                            relation, instance.activity)
 
 
 def _anchors(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import os
 import tempfile
 from datetime import datetime, timedelta
@@ -12,6 +13,8 @@ from datetime import datetime, timedelta
 from hypothesis import event, given, settings, strategies as st
 
 from startrepair.cli import main
+
+from .conftest import shipping_csv
 
 INSTANCE_HEADER = ["case_id", "activity", "start_time", "end_time", "resource"]
 EVENT_HEADER = ["case_id", "activity", "timestamp", "lifecycle", "resource"]
@@ -129,3 +132,77 @@ def test_any_csv_repairs_or_fails_in_one_line(log, flags):
         if code == 0 and not evented:
             assert_clean_exit(*run_quietly(["evaluate", "--reference", source,
                                             "--other", repaired]))
+
+
+# JSON values with no integer at the top: every one is the wrong type for an
+# integer spec key, so no draw asks for a huge trace or resource count
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["2021-03-01", "9999-12-31T23:00:00", "0001-01-01"]),
+    lambda inner: st.lists(inner | st.integers(-5, 10**20), max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+spec_keys = st.sampled_from(["seed", "trace_count", "stages", "resource_count",
+                             "duration_range", "delay_range", "arrival_gap_range",
+                             "missing_resource_rate", "multitasking", "first_arrival",
+                             "bogus"])
+
+
+@st.composite
+def generator_specs(draw):
+    """A small valid spec with one key set to a wrongly typed value, or now
+    and then a spec that is not a JSON object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    spec = {"seed": draw(st.integers(0, 10**6)), "trace_count": draw(st.integers(1, 5)),
+            "stages": [["a", "b"], "c"], "resource_count": 2}
+    spec[draw(spec_keys)] = draw(json_values)
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_specs())
+def test_any_generator_spec_generates_or_fails_in_one_line(spec):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(spec, handle)
+        code, err = run_quietly(["generate", "--spec", path,
+                                 "--out-truth", os.path.join(directory, "t.csv"),
+                                 "--out-corrupted", os.path.join(directory, "c.csv")])
+        assert_clean_exit(code, err)
+        event("generated" if code == 0 else "rejected")
+
+
+relation_cells = st.sampled_from(["", " ", "Register Order", "Deliver Package",
+                                  "Prepare Invoice", "x", 'a "b"', "c,d"])
+
+
+@st.composite
+def relation_files(draw) -> str:
+    """Rows of random field counts with empty and quoted cells, blank lines
+    and now and then a byte-order mark."""
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            sink.write("\n")
+        else:
+            writer.writerow(draw(st.lists(relation_cells, max_size=4)))
+    return ("\ufeff" if draw(st.booleans()) else "") + sink.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_files(), st.sampled_from(["repair", "concurrency"]))
+def test_any_relation_file_is_read_or_fails_in_one_line(relation, command):
+    with tempfile.TemporaryDirectory() as directory:
+        source = os.path.join(directory, "in.csv")
+        pairs = os.path.join(directory, "pairs.csv")
+        with open(source, "w", encoding="utf-8", newline="") as handle:
+            handle.write(shipping_csv())
+        with open(pairs, "w", encoding="utf-8", newline="") as handle:
+            handle.write(relation)
+        code, err = run_quietly([command, "--input", source, "--concurrency-file", pairs,
+                                 "--output", os.path.join(directory, "out.csv")])
+        assert_clean_exit(code, err)
+        event("read" if code == 0 else "rejected")

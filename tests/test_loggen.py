@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import io
+import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from startrepair import (
     repair_start_times,
     write_activity_instance_log,
 )
+from startrepair.cli import main
+from startrepair.loggen import SPEC_KEYS
 
 
 def log_bytes(log) -> bytes:
@@ -98,3 +103,51 @@ class TestGenerate:
             recoverable += 1
             assert repaired.start == true_inst.start
         assert recoverable > 0
+
+
+class TestSpecKeys:
+    @pytest.mark.parametrize("spec, message", [
+        ([1, 2], "expected a JSON object"),
+        ({"seed": 1, "trace_count": 2, "stages": 5}, "'stages' must be"),
+        ({"seed": 1, "trace_count": 2, "duration_range": 5}, "'duration_range' must be"),
+        ({"seed": 1, "trace_count": 2, "resource_count": 2.5}, "'resource_count' must be"),
+        ({"seed": 1, "trace_count": 2, "stages": ["a", ["b", 3]]}, "'stages' must be"),
+        ({"seed": 1, "trace_count": 2, "delay_range": [0, "60"]}, "'delay_range' must be"),
+        ({"seed": 1, "trace_count": 2, "arrival_gap_range": [1, 2, 3]},
+         "'arrival_gap_range' must be"),
+        ({"seed": True, "trace_count": 2}, "'seed' must be"),
+        ({"seed": 1, "trace_count": 2, "missing_resource_rate": "0.1"},
+         "'missing_resource_rate' must be"),
+        ({"seed": 1, "trace_count": 2, "multitasking": 1}, "'multitasking' must be"),
+        ({"seed": 1, "trace_count": 2, "first_arrival": 5}, "'first_arrival' must be"),
+    ])
+    def test_bad_spec_is_a_one_line_error(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        truth = tmp_path / "t.csv"
+        assert main(["generate", "--spec", str(path), "--out-truth", str(truth),
+                     "--out-corrupted", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"startrepair: error: bad generator spec: {message}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not truth.exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"seed": 1, "trace_count": 2, "first_arrival": "9999-12-31T23:00:00"},
+        {"seed": 1, "trace_count": 2, "duration_range": [1, 10**20]},
+    ])
+    def test_times_beyond_the_calendar_are_a_one_line_error(self, tmp_path, capsys,
+                                                            spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["generate", "--spec", str(path), "--out-truth",
+                     str(tmp_path / "t.csv"), "--out-corrupted",
+                     str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("startrepair: error:") and err.count("\n") == 1, err
+
+    def test_readme_lists_the_spec_keys(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        paragraph = readme[readme.index("The spec accepts these keys"):]
+        paragraph = paragraph[:paragraph.index("Any other key is an error")]
+        assert set(re.findall(r"`([a-z_]+)`", paragraph)) == set(SPEC_KEYS)

@@ -100,3 +100,31 @@ def test_generator_spec_with_duration_ranges_is_an_error(tmp_path, capsys, bound
                "--out-corrupted", tmp_path / "c.csv") == 1
     assert_one_line_error(capsys.readouterr().err)
     assert not truth.exists()
+
+
+@pytest.mark.parametrize("command, settings, unknown", [
+    ("evaluate", {"outlier_threshold": 2, "input": "nope"}, ["input", "outlier_threshold"]),
+    ("concurrency", {"report": "r.json"}, ["report"]),
+])
+def test_config_file_holds_only_the_subcommands_own_settings(tmp_path, capsys, command,
+                                                             settings, unknown):
+    source, config = tmp_path / "in.csv", tmp_path / "config.json"
+    source.write_text(shipping_csv())
+    config.write_text(json.dumps(settings))
+    paths = (["--reference", source, "--other", source] if command == "evaluate"
+             else ["--input", source])
+    assert run(command, "--config", config, *paths) == 1
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert f"unknown config keys: {unknown}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "concurrency"])
+def test_config_file_with_the_subcommands_own_setting(tmp_path, capsys, command):
+    source, config = tmp_path / "in.csv", tmp_path / "config.json"
+    source.write_text(shipping_csv().replace("case_id", "case"))
+    config.write_text(json.dumps({"case_column": "case"}))
+    paths = (["--reference", source, "--other", source] if command == "evaluate"
+             else ["--input", source])
+    assert run(command, "--config", config, *paths) == 0
+    assert capsys.readouterr().err == ""
