@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Print one sha256 per (configuration, artefact) of the CLI's outputs on a
+generated log, so that two versions of the program can be compared with a
+`diff` of their digests:
+
+    PYTHONPATH=src python3 scripts/output_digests.py --seed 7 --traces 300 > a.txt
+    PYTHONPATH=other/src python3 scripts/output_digests.py --seed 7 --traces 300 > b.txt
+    diff a.txt b.txt
+
+The log is generated with stages Register, Pack || Invoice, Check, Deliver,
+5 resources and 10% missing resources. Each configuration repairs it, then
+evaluates the repaired log against the ground truth (JSON, text and histogram
+dumps) and runs `concurrency` with its thresholds. The last configuration
+reads the same log written as event rows. Report paths are normalised.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import tempfile
+
+from startrepair import GenSpec, generate, write_activity_instance_log
+from startrepair.cli import main as cli_main
+from startrepair.model import format_timestamp
+
+EVENT_FLAGS = ("--timestamp-column", "timestamp", "--lifecycle-column", "lifecycle")
+# (name, input, repair flags); `concurrency` takes the threshold and column flags
+CONFIGURATIONS = (
+    ("default", "instances", ()),
+    ("cap2-bot", "instances", ("--outlier-threshold", "2", "--bot-resources", "R04")),
+    ("mode5-instant", "instances", ("--statistic", "mode", "--outlier-threshold", "5",
+                                    "--instant-activities", "Invoice")),
+    ("later-cap2", "instances", ("--allow-later-start", "--outlier-threshold", "2")),
+    ("bots-thresholds", "instances", ("--bot-resources", "R00,R01", "--df-threshold",
+                                      "0.2", "--balance-threshold", "0.5")),
+    ("event-rows", "events", EVENT_FLAGS),
+)
+CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
+
+
+def _run(*argv: str) -> bytes:
+    """stdout of one CLI command, which must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(list(argv))
+    if code != 0:
+        raise SystemExit(f"startrepair {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _write_event_rows(log, path: str) -> None:
+    """The log as event rows, start and end rows sorted by time (stable)."""
+    rows = [(i.trace_id, i.activity, stamp, phase, i.resource or "")
+            for i in log.instances
+            for stamp, phase in ((i.start, "start"), (i.end, "end"))]
+    rows.sort(key=lambda row: row[2])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("case_id", "activity", "timestamp", "lifecycle", "resource"))
+        writer.writerows((t, a, format_timestamp(s), p, r) for t, a, s, p, r in rows)
+
+
+def digests(seed: int, traces: int, workdir: str):
+    """Yield (configuration, artefact, sha256 hex digest)."""
+    spec = GenSpec(seed=seed, trace_count=traces,
+                   stages=(("Register",), ("Pack", "Invoice"), ("Check",), ("Deliver",)),
+                   resource_count=5, missing_resource_rate=0.1)
+    truth, corrupted = generate(spec)
+    paths = {name: os.path.join(workdir, f"{name}.csv")
+             for name in ("truth", "instances", "events")}
+    for name, log in (("truth", truth), ("instances", corrupted)):
+        with open(paths[name], "w", encoding="utf-8", newline="") as handle:
+            write_activity_instance_log(log, handle)
+    _write_event_rows(corrupted, paths["events"])
+
+    for name, source, flags in CONFIGURATIONS:
+        repaired = os.path.join(workdir, f"{name}-repaired.csv")
+        report = os.path.join(workdir, f"{name}-report.json")
+        relation = os.path.join(workdir, f"{name}-concurrency.csv")
+        dumps = os.path.join(workdir, f"{name}-histograms")
+        _run("repair", "--input", paths[source], "--output", repaired,
+             "--report", report, *flags)
+        evaluate = ("evaluate", "--reference", paths["truth"], "--other", repaired)
+        concurrency_flags = [arg for flag, value in zip(flags, flags[1:])
+                             if flag in CONCURRENCY_FLAGS for arg in (flag, value)]
+        _run("concurrency", "--input", paths[source], "--output", relation,
+             *concurrency_flags)
+        artefacts = {
+            "repaired.csv": _read(repaired),
+            "report.json": _read(report).replace(workdir.encode(), b"<dir>"),
+            "evaluate.json": _run(*evaluate, "--format", "json",
+                                  "--dump-histograms", dumps),
+            "evaluate.txt": _run(*evaluate, "--format", "text"),
+            "histograms": b"".join(f.encode() + b"\n" + _read(os.path.join(dumps, f))
+                                   for f in sorted(os.listdir(dumps))),
+            "concurrency.csv": _read(relation),
+        }
+        for artefact, data in artefacts.items():
+            yield name, artefact, hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--traces", type=int, default=300)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, artefact, digest in digests(args.seed, args.traces, workdir):
+            print(f"{digest}  {name:16} {artefact}")
+
+
+if __name__ == "__main__":
+    main()

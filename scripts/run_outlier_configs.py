@@ -5,6 +5,9 @@ synthetic log with known ground truth.
 For each configuration the corrupted log is repaired and scored against the
 ground-truth log with timestamp and cycle-time EMD; lower is better. The
 corrupted log itself is scored first as the baseline.
+
+With `--seeds A-B` it scores seeds A to B and adds, per seed and
+configuration, the capped share: outlier-capped instances over all instances.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from startrepair import (
     generate,
     repair_start_times,
 )
+from startrepair.repair import RULE_CAPPED
 
 CONFIGURATIONS = [
     ("MED", RepairConfig(statistic="median")),
@@ -28,33 +32,61 @@ CONFIGURATIONS = [
 ]
 
 
+def _seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def score(spec: GenSpec):
+    """Yield (configuration, EmdReport, capped share), the unrepaired log
+    first as RAW with no capped share."""
+    truth, corrupted = generate(spec)
+    relation = spec.concurrency_pairs()
+    yield "RAW", evaluate_logs(truth, corrupted), None
+    for name, config in CONFIGURATIONS:
+        outcome = repair_start_times(corrupted, relation, config)
+        capped = outcome.rule_counts()[RULE_CAPPED] / len(corrupted)
+        yield name, evaluate_logs(truth, outcome.repaired_log), capped
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seeds", type=_seed_range,
+                        help="score every seed of the range A-B instead of --seed")
     parser.add_argument("--traces", type=int, default=500)
     parser.add_argument("--resources", type=int, default=5)
     parser.add_argument("--max-delay", type=int, default=7200,
                         help="max injected start delay, seconds")
     args = parser.parse_args()
 
-    spec = GenSpec(
-        seed=args.seed,
-        trace_count=args.traces,
-        resource_count=args.resources,
-        delay_range=(0, args.max_delay),
-    )
-    truth, corrupted = generate(spec)
-    relation = spec.concurrency_pairs()
+    def spec(seed: int) -> GenSpec:
+        return GenSpec(
+            seed=seed,
+            trace_count=args.traces,
+            resource_count=args.resources,
+            delay_range=(0, args.max_delay),
+        )
 
-    print(f"{'config':8} {'timestamp EMD':>14} {'cycle-time EMD':>15}")
-    baseline = evaluate_logs(truth, corrupted)
-    print(f"{'RAW':8} {baseline.timestamp_emd:14.4f} "
-          f"{baseline.cycle_time_emd:15.4f}")
-    for name, config in CONFIGURATIONS:
-        outcome = repair_start_times(corrupted, relation, config)
-        result = evaluate_logs(truth, outcome.repaired_log)
-        print(f"{name:8} {result.timestamp_emd:14.4f} "
-              f"{result.cycle_time_emd:15.4f}")
+    if args.seeds is None:
+        print(f"{'config':8} {'timestamp EMD':>14} {'cycle-time EMD':>15}")
+        for name, result, _ in score(spec(args.seed)):
+            print(f"{name:8} {result.timestamp_emd:14.4f} "
+                  f"{result.cycle_time_emd:15.4f}")
+        return
+    print(f"{'seed':>6} {'config':8} {'timestamp EMD':>14} {'cycle-time EMD':>15} "
+          f"{'capped share':>13}")
+    for seed in args.seeds:
+        for name, result, capped in score(spec(seed)):
+            share = "-" if capped is None else f"{capped:.4f}"
+            print(f"{seed:6} {name:8} {result.timestamp_emd:14.4f} "
+                  f"{result.cycle_time_emd:15.4f} {share:>13}")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import floor
@@ -51,19 +52,25 @@ def timestamp_histogram(
     points = [t for inst in log.instances for t in (inst.start, inst.end)]
     if origin is None:
         origin = min(points).replace(minute=0, second=0, microsecond=0)
-    masses: dict[int, float] = {}
-    for point in points:
-        index = (point - origin) // HOUR
-        masses[index] = masses.get(index, 0.0) + 1.0
+    counts = Counter((point - origin) // HOUR for point in points)
+    masses = {index: float(count) for index, count in counts.items()}
     return Histogram(origin.timestamp(), HOUR.total_seconds(), masses)
 
 
 def trace_cycle_times(log: ActivityInstanceLog) -> dict[str, timedelta]:
-    """Per trace: largest end timestamp minus smallest start timestamp."""
-    return {
-        trace: max(i.end for i in instances) - min(i.start for i in instances)
-        for trace, instances in log.per_trace_index.items()
-    }
+    """Per trace, in order of first appearance: largest end timestamp minus
+    smallest start timestamp. One pass over the instances; no index is built."""
+    spans: dict[str, list[datetime]] = {}
+    for inst in log.instances:
+        span = spans.get(inst.trace_id)
+        if span is None:
+            spans[inst.trace_id] = [inst.start, inst.end]
+        else:
+            if inst.start < span[0]:
+                span[0] = inst.start
+            if inst.end > span[1]:
+                span[1] = inst.end
+    return {trace: last - first for trace, (first, last) in spans.items()}
 
 
 def _cycle_histogram(cycle_seconds, origin: float, width: float) -> Histogram:

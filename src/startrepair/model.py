@@ -7,7 +7,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
@@ -24,14 +24,21 @@ class ConfigurationError(ValueError):
 
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 timestamp (``T`` or space separator, optional offset,
-    trailing ``Z`` accepted). Offset-free values are assumed UTC."""
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+    trailing ``Z`` accepted). Offset-free values are assumed UTC.
+
+    The cell is tried as given first; only when that fails is it stripped and
+    a trailing ``Z``/``z`` rewritten to ``+00:00``, which gives the same value
+    and offset on every input both forms accept."""
     try:
-        ts = datetime.fromisoformat(text)
+        ts = datetime.fromisoformat(raw)
     except ValueError:
-        raise LogFormatError(f"unparseable timestamp: {raw!r}") from None
+        text = raw.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            raise LogFormatError(f"unparseable timestamp: {raw!r}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
@@ -41,7 +48,7 @@ def format_timestamp(ts: datetime) -> str:
     return ts.isoformat(sep=" ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One raw log row: a start or end occurrence of an activity."""
 
@@ -58,7 +65,7 @@ class Event:
             raise LogFormatError("event with empty activity label")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivityInstance:
     """One paired execution record: (trace, activity, start, end, resource)."""
 
@@ -200,6 +207,7 @@ def _rows(source, mapping: ColumnMapping):
         raise ConfigurationError(f"mapped columns missing from header: {missing}")
     position = {name: i for i, name in enumerate(header)}
     columns = [position[c] for c in required]
+    pick = itemgetter(*columns)
     resource = position.get(mapping.resource)
     width, reach = len(header), max(columns + [resource or 0])
     row_number = 1
@@ -211,7 +219,7 @@ def _rows(source, mapping: ColumnMapping):
             raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
         if len(row) <= reach:
             raise LogFormatError(f"row {row_number}: malformed CSV row (missing fields)")
-        cells = [row[i].strip() for i in columns]
+        cells = tuple(map(str.strip, pick(row)))
         if not all(cells):
             raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
         yield (row_number, *cells,
@@ -258,7 +266,7 @@ def to_activity_instances(
     phases are dropped and counted in the summary.
     """
     summary = PairingSummary()
-    ordered = sorted(events, key=lambda e: e.timestamp)
+    ordered = sorted(events, key=attrgetter("timestamp"))
     open_starts: dict[tuple, deque[Event]] = defaultdict(deque)
     instances: list[ActivityInstance] = []
     for event in ordered:

@@ -6,6 +6,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from math import floor, isfinite
 from typing import Optional
 
@@ -61,13 +62,33 @@ class InstanceRepair:
 
 @dataclass(frozen=True)
 class RepairOutcome:
+    """The repaired log, with what is needed to explain it.
+
+    `estimates` holds one `(rat, ent, earliest)` per instance and `rules` the
+    rule applied, both in log order; `earliest` is the estimate after the
+    outlier cap. The `InstanceRepair` audit records are built from these on
+    first access to `per_instance`, so a caller that never reads them does
+    not pay for them.
+    """
+
+    log: ActivityInstanceLog
     repaired_log: ActivityInstanceLog
-    per_instance: tuple[InstanceRepair, ...]
+    estimates: list[tuple[Optional[datetime], Optional[datetime], Optional[datetime]]]
+    rules: list[str]
 
     def rule_counts(self) -> dict[str, int]:
         counts = {rule: 0 for rule in ALL_RULES}
-        counts.update(Counter(r.rule_applied for r in self.per_instance))
+        counts.update(Counter(self.rules))
         return counts
+
+    @cached_property
+    def per_instance(self) -> tuple[InstanceRepair, ...]:
+        return tuple(
+            InstanceRepair(before.start, rat, ent, earliest, after.start, rule)
+            for before, after, (rat, ent, earliest), rule in zip(
+                self.log.instances, self.repaired_log.instances, self.estimates,
+                self.rules)
+        )
 
 
 def _last_end_before(group: tuple[ActivityInstance, ...], end: datetime,
@@ -193,7 +214,7 @@ def repair_start_times(
                 pass  # a cap beyond timedelta's range never binds: leave uncapped
 
     repaired_instances: list[ActivityInstance] = []
-    per_instance: list[InstanceRepair] = []
+    estimates, rules = [], []
     for instance, rat, ent, earliest, instant in records:
         if instant:
             repaired, rule = instance.end, RULE_BOT_OR_INSTANT
@@ -210,6 +231,6 @@ def repair_start_times(
         repaired_instances.append(ActivityInstance(
             instance.trace_id, instance.activity, repaired, instance.end,
             instance.resource))
-        per_instance.append(
-            InstanceRepair(instance.start, rat, ent, earliest, repaired, rule))
-    return RepairOutcome(ActivityInstanceLog(repaired_instances), tuple(per_instance))
+        estimates.append((rat, ent, earliest))
+        rules.append(rule)
+    return RepairOutcome(log, ActivityInstanceLog(repaired_instances), estimates, rules)

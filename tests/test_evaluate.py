@@ -109,6 +109,26 @@ class TestCycleTimeHistograms:
         cycles = trace_cycle_times(shipping_log)
         assert cycles["24"] == ts("2021-03-08 14:37:06") - ts("2021-03-07 13:06:53")
 
+    def test_cycle_times_equal_brute_force_min_max(self):
+        # interleaved traces, tied ends, and a trace whose first row is
+        # neither its earliest start nor its latest end
+        rows = [("b", "09:30", "10:00"), ("a", "09:00", "11:00"), ("b", "08:00", "10:00"),
+                ("c", "12:00", "12:00"), ("a", "08:30", "11:00"), ("b", "09:00", "10:30"),
+                ("a", "10:00", "10:30")]
+        log = ActivityInstanceLog(
+            ActivityInstance(trace, "x", ts(f"2021-03-07 {start}:00"),
+                             ts(f"2021-03-07 {end}:00"), None)
+            for trace, start, end in rows)
+        traces = list(dict.fromkeys(i.trace_id for i in log.instances))
+        expected = {
+            trace: max(i.end for i in log.instances if i.trace_id == trace)
+            - min(i.start for i in log.instances if i.trace_id == trace)
+            for trace in traces
+        }
+        cycles = trace_cycle_times(log)
+        assert cycles == expected
+        assert list(cycles) == traces
+
 
 class TestWasserstein:
     def test_single_point_transport(self):
@@ -184,6 +204,15 @@ class TestEvaluateLogs:
         ]
         content = (tmp_path / "hists" / "timestamp_reference.csv").read_text()
         assert content.startswith("bin,mass\n")
+
+
+class TestNoIndexWork:
+    def test_evaluate_builds_no_index(self, shipping_log):
+        other = shifted(shipping_log, timedelta(hours=1))
+        evaluate_logs(shipping_log, other)
+        for log in (shipping_log, other):
+            assert "per_trace_index" not in log.__dict__
+            assert "per_resource_index" not in log.__dict__
 
 
 class TestTranslationProperty:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import io
+import re
+from dataclasses import replace
 from datetime import timedelta
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from startrepair import (
     ActivityInstance,
@@ -39,6 +43,76 @@ class TestTimestampParsing:
     def test_garbage_rejected(self):
         with pytest.raises(LogFormatError):
             parse_timestamp("not-a-date")
+
+
+def normalised_timestamp(raw: str) -> datetime:
+    """The parsing rule written out in full: strip, rewrite a trailing Z/z
+    to +00:00, parse, and take an offset-free value as UTC."""
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    parsed = datetime.fromisoformat(text)
+    return parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)
+
+
+@st.composite
+def timestamp_cells(draw):
+    """ISO 8601 cells in the forms logs hold, with surrounding blanks."""
+    stamp = datetime(draw(st.integers(1900, 2100)), draw(st.integers(1, 12)),
+                     draw(st.integers(1, 28)), draw(st.integers(0, 23)),
+                     draw(st.integers(0, 59)), draw(st.integers(0, 59)),
+                     draw(st.one_of(st.just(0), st.integers(0, 999_999))))
+    text = stamp.isoformat(sep=draw(st.sampled_from("T ")),
+                           timespec=draw(st.sampled_from(("seconds", "microseconds"))))
+    sign, hours, minutes = (draw(st.sampled_from("+-")), draw(st.integers(0, 23)),
+                            draw(st.integers(0, 59)))
+    text += draw(st.sampled_from(("", f"{sign}{hours:02d}:{minutes:02d}", "Z", "z")))
+    blanks = st.text(alphabet=" \t", max_size=2)
+    return draw(blanks) + text + draw(blanks)
+
+
+cells = st.one_of(timestamp_cells(),
+                  st.text(alphabet="0123456789-:.+ TZz", max_size=30))
+
+
+class TestTimestampFastPath:
+    """`parse_timestamp` tries the cell as given before normalising it; the
+    result must be the normalised rule's on every input, on every Python
+    whose `fromisoformat` accepts a different set of strings."""
+
+    @given(cells)
+    def test_equals_normalised_rule(self, raw):
+        try:
+            expected = normalised_timestamp(raw)
+        except ValueError:
+            with pytest.raises(LogFormatError, match="unparseable timestamp"):
+                parse_timestamp(raw)
+            return
+        parsed = parse_timestamp(raw)
+        assert parsed == expected
+        assert parsed.utcoffset() == expected.utcoffset()
+        assert parsed.isoformat() == expected.isoformat()
+
+    @given(cells.filter(lambda raw: raw.strip()))
+    def test_one_row_read_equals_normalised_rule(self, raw):
+        source = io.StringIO(f"{HEADER}23,a,{raw},{raw},Fry\n")
+        try:
+            expected = normalised_timestamp(raw)
+        except ValueError:
+            message = f"row 2: unparseable timestamp {raw.strip()!r}"
+            with pytest.raises(LogFormatError, match=re.escape(message)):
+                read_instance_log(source)
+            return
+        (instance,) = read_instance_log(source)
+        for parsed in (instance.start, instance.end):
+            assert parsed == expected
+            assert parsed.utcoffset() == expected.utcoffset()
+            assert parsed.isoformat() == expected.isoformat()
+
+    def test_garbage_cell_names_row(self):
+        with pytest.raises(LogFormatError,
+                           match=re.escape("row 2: unparseable timestamp '2021-13-07'")):
+            read_instance_log(io.StringIO(f"{HEADER}23,a,2021-13-07,2021-13-07,Fry\n"))
 
 
 class TestParseEventLog:
@@ -294,3 +368,10 @@ class TestInvariants:
             Event("", "a", "start", ts("2021-03-07 12:00:00"))
         with pytest.raises(LogFormatError):
             Event("1", "", "start", ts("2021-03-07 12:00:00"))
+
+    def test_replace_on_slotted_instance_still_checks(self):
+        instance = ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
+                                    ts("2021-03-07 13:00:00"), None)
+        assert not hasattr(instance, "__dict__")
+        with pytest.raises(LogFormatError, match="after end"):
+            replace(instance, start=ts("2021-03-07 14:00:00"))

@@ -344,6 +344,14 @@ class TestRepairProperties:
             if record.rule_applied == RULE_BOT_OR_INSTANT:
                 assert record.rat is None and record.ent is None
 
+    def test_audit_records_built_only_on_request(self, shipping_log):
+        outcome = repair_start_times(shipping_log, discover_from_log(shipping_log))
+        assert len(outcome.repaired_log) == len(shipping_log)
+        assert sum(outcome.rule_counts().values()) == len(shipping_log)
+        assert "per_instance" not in outcome.__dict__
+        assert len(outcome.per_instance) == len(shipping_log)
+        assert outcome.per_instance is outcome.per_instance
+
     @given(instance_logs(max_size=12))
     def test_rule_counts_sum_to_instances(self, log):
         outcome = repair_start_times(log, discover_from_log(log))
