@@ -57,9 +57,10 @@ def score(spec: GenSpec):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seeds", type=_seed_range,
-                        help="score every seed of the range A-B instead of --seed")
+    seeding = parser.add_mutually_exclusive_group()
+    seeding.add_argument("--seed", type=int, default=7)
+    seeding.add_argument("--seeds", type=_seed_range,
+                         help="score every seed of the range A-B instead of --seed")
     parser.add_argument("--traces", type=int, default=500)
     parser.add_argument("--resources", type=int, default=5)
     parser.add_argument("--max-delay", type=int, default=7200,

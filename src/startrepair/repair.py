@@ -65,16 +65,16 @@ class RepairOutcome:
     """The repaired log, with what is needed to explain it.
 
     `estimates` holds one `(rat, ent, earliest)` per instance and `rules` the
-    rule applied, both in log order; `earliest` is the estimate after the
-    outlier cap. The `InstanceRepair` audit records are built from these on
-    first access to `per_instance`, so a caller that never reads them does
+    rule applied, both tuples in log order; `earliest` is the estimate after
+    the outlier cap. The `InstanceRepair` audit records are built from these
+    on first access to `per_instance`, so a caller that never reads them does
     not pay for them.
     """
 
     log: ActivityInstanceLog
     repaired_log: ActivityInstanceLog
-    estimates: list[tuple[Optional[datetime], Optional[datetime], Optional[datetime]]]
-    rules: list[str]
+    estimates: tuple[tuple[Optional[datetime], Optional[datetime], Optional[datetime]], ...]
+    rules: tuple[str, ...]
 
     def rule_counts(self) -> dict[str, int]:
         counts = {rule: 0 for rule in ALL_RULES}
@@ -233,4 +233,5 @@ def repair_start_times(
             instance.resource))
         estimates.append((rat, ent, earliest))
         rules.append(rule)
-    return RepairOutcome(log, ActivityInstanceLog(repaired_instances), estimates, rules)
+    return RepairOutcome(log, ActivityInstanceLog(repaired_instances),
+                         tuple(estimates), tuple(rules))
