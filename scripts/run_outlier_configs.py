@@ -6,8 +6,9 @@ For each configuration the corrupted log is repaired and scored against the
 ground-truth log with timestamp and cycle-time EMD; lower is better. The
 corrupted log itself is scored first as the baseline.
 
-With `--seeds A-B` it scores seeds A to B and adds, per seed and
-configuration, the capped share: outlier-capped instances over all instances.
+`--seed` takes one seed `N` or a range `A-B`. Each row gives the seed, the
+configuration, both EMDs and the capped share: outlier-capped instances over
+all instances.
 """
 from __future__ import annotations
 
@@ -33,11 +34,11 @@ CONFIGURATIONS = [
 
 
 def _seed_range(text: str) -> range:
-    first, _, last = text.partition("-")
+    first, dash, last = text.partition("-")
     try:
-        seeds = range(int(first), int(last) + 1)
+        seeds = range(int(first), int(last if dash else first) + 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected N or A-B, got {text!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return seeds
@@ -57,10 +58,8 @@ def score(spec: GenSpec):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    seeding = parser.add_mutually_exclusive_group()
-    seeding.add_argument("--seed", type=int, default=7)
-    seeding.add_argument("--seeds", type=_seed_range,
-                         help="score every seed of the range A-B instead of --seed")
+    parser.add_argument("--seed", type=_seed_range, default="7",
+                        help="one seed N, or every seed of the range A-B")
     parser.add_argument("--traces", type=int, default=500)
     parser.add_argument("--resources", type=int, default=5)
     parser.add_argument("--max-delay", type=int, default=7200,
@@ -75,15 +74,9 @@ def main() -> None:
             delay_range=(0, args.max_delay),
         )
 
-    if args.seeds is None:
-        print(f"{'config':8} {'timestamp EMD':>14} {'cycle-time EMD':>15}")
-        for name, result, _ in score(spec(args.seed)):
-            print(f"{name:8} {result.timestamp_emd:14.4f} "
-                  f"{result.cycle_time_emd:15.4f}")
-        return
     print(f"{'seed':>6} {'config':8} {'timestamp EMD':>14} {'cycle-time EMD':>15} "
           f"{'capped share':>13}")
-    for seed in args.seeds:
+    for seed in args.seed:
         for name, result, capped in score(spec(seed)):
             share = "-" if capped is None else f"{capped:.4f}"
             print(f"{seed:6} {name:8} {result.timestamp_emd:14.4f} "

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -58,7 +59,7 @@ def _load_config_file(path: Optional[str], keys) -> dict:
     them."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         data = json.load(handle, parse_int=float)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
@@ -112,8 +113,7 @@ def _mapping_from(resolved: dict) -> ColumnMapping:
 def _read_log(path: str, mapping: ColumnMapping):
     with open(path, encoding="utf-8-sig", newline="") as handle:
         if mapping.is_event_per_row:
-            log, summary = to_activity_instances(parse_event_log(handle, mapping))
-            return log, summary
+            return to_activity_instances(parse_event_log(handle, mapping))
         return read_instance_log(handle, mapping), None
 
 
@@ -130,7 +130,7 @@ def _relation_for(log: ActivityInstanceLog, resolved: dict,
 
 
 def _emit_report(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=sorted)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -158,13 +158,7 @@ def _run_repair(args: argparse.Namespace) -> int:
         "rule_counts": outcome.rule_counts(),
         "concurrency_pairs": [list(p) for p in relation.sorted_pairs()],
         "config": {
-            "statistic": config.statistic,
-            "outlier_threshold": config.outlier_threshold,
-            "bot_resources": sorted(config.bot_resources),
-            "instant_activities": sorted(config.instant_activities),
-            "allow_later_start": config.allow_later_start,
-            "balance_threshold": thresholds.balance_threshold,
-            "df_threshold": thresholds.df_threshold,
+            **dataclasses.asdict(config), **dataclasses.asdict(thresholds),
             "concurrency_file": resolved.get("concurrency_file"),
             "input": resolved["input"],
             "output": resolved["output"],
@@ -194,8 +188,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_generate(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8") as handle:
-        spec = loggen.GenSpec.from_json(handle)
+    with open(args.spec, encoding="utf-8-sig") as handle:
+        spec = loggen.GenSpec.from_dict(json.load(handle))
     truth, corrupted = loggen.generate(spec)
     for path, log in ((args.out_truth, truth), (args.out_corrupted, corrupted)):
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -265,7 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.handler(args)
     except (ConfigurationError, LogFormatError, OSError, json.JSONDecodeError,
-            ValueError, OverflowError) as exc:
+            ValueError, OverflowError, csv.Error) as exc:
         print(f"startrepair: error: {exc}", file=sys.stderr)
         return 1
 

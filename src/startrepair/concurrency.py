@@ -5,6 +5,7 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, _text_stream
@@ -58,10 +59,6 @@ class ConcurrencyRelation:
         return sorted(self.pairs)
 
 
-def _trace_order_key(inst):
-    return (inst.start, inst.end, inst.activity)
-
-
 def count_directly_follows(log_: ActivityInstanceLog) -> Counter:
     """Count ordered adjacency within traces (sorted by start, ties by end then
     label) plus interval overlaps, which add evidence in both directions.
@@ -72,7 +69,7 @@ def count_directly_follows(log_: ActivityInstanceLog) -> Counter:
     """
     counts = Counter()
     for trace_instances in log_.per_trace_index.values():
-        ordered = sorted(trace_instances, key=_trace_order_key)
+        ordered = sorted(trace_instances, key=attrgetter("start", "end", "activity"))
         for previous, current in zip(ordered, ordered[1:]):
             counts[(previous.activity, current.activity)] += 1
         size = len(ordered)

@@ -32,8 +32,7 @@ _RANGE = ("a [low, high] pair of integers",
 SPEC_KEYS = {
     "seed": _INTEGER, "trace_count": _INTEGER, "resource_count": _INTEGER,
     "stages": ("a list of activities or lists of activities",
-               lambda v: isinstance(v, list) and all(map(_is_stage, v)),
-               lambda v: tuple((s,) if isinstance(s, str) else tuple(s) for s in v)),
+               lambda v: isinstance(v, list) and all(map(_is_stage, v)), None),
     "duration_range": _RANGE, "delay_range": _RANGE, "arrival_gap_range": _RANGE,
     "missing_resource_rate": ("a number",
                               lambda v: _is_integer(v) or isinstance(v, float), None),
@@ -48,7 +47,7 @@ class GenSpec:
     """Generation parameters. Identical specs always produce identical logs.
 
     `stages` is the activity template each trace follows: one entry per stage,
-    each stage holding one activity or several executed concurrently. Ground
+    each a string naming one activity or a sequence run concurrently. Ground
     truth is built so every start equals max(previous same-resource end,
     previous-stage end, trace arrival); the corrupted twin delays each recorded
     start by a sampled amount of non-recorded processing time, never past the
@@ -72,7 +71,8 @@ class GenSpec:
             raise ConfigurationError("trace_count must be >= 1")
         if self.resource_count < 1:
             raise ConfigurationError("resource_count must be >= 1")
-        stages = tuple(tuple(stage) for stage in self.stages)
+        stages = tuple((stage,) if isinstance(stage, str) else tuple(stage)
+                       for stage in self.stages)
         if not stages or any(not stage for stage in stages):
             raise ConfigurationError("stages must be non-empty")
         object.__setattr__(self, "stages", stages)
@@ -114,10 +114,6 @@ class GenSpec:
         except TypeError as exc:  # a required key is missing
             raise ConfigurationError(f"bad generator spec: {exc}") from None
 
-    @classmethod
-    def from_json(cls, source) -> "GenSpec":
-        return cls.from_dict(json.load(source))
-
 
 def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
     """Return (ground_truth_log, corrupted_log) for the spec.
@@ -127,7 +123,7 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
     """
     rng = random.Random(spec.seed)
     resources = [f"R{i:02d}" for i in range(spec.resource_count)]
-    resource_free: dict[str, Optional[datetime]] = {r: None for r in resources}
+    resource_free = dict.fromkeys(resources, spec.first_arrival)
     truth: list[ActivityInstance] = []
     corrupted: list[ActivityInstance] = []
 
@@ -140,15 +136,9 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
         for stage in spec.stages:
             stage_ends = []
             for activity in stage:
-                resource = min(
-                    resources,
-                    key=lambda r: (resource_free[r] or spec.first_arrival, r),
-                )
-                free = resource_free[resource]
-                if spec.multitasking or free is None:
-                    start = enablement
-                else:
-                    start = max(enablement, free)
+                resource = min(resources, key=lambda r: (resource_free[r], r))
+                start = (enablement if spec.multitasking
+                         else max(enablement, resource_free[resource]))
                 duration = rng.randint(*spec.duration_range)
                 end = start + timedelta(seconds=duration)
                 resource_free[resource] = end

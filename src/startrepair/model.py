@@ -141,9 +141,7 @@ class ColumnMapping:
     resource: Optional[str] = "resource"
 
     def __post_init__(self):
-        paired = self.start_time and self.end_time
-        evented = self.timestamp and self.lifecycle
-        if not paired and not evented:
+        if not (self.start_time and self.end_time) and not self.is_event_per_row:
             raise ConfigurationError(
                 "mapping needs either start_time+end_time or timestamp+lifecycle columns"
             )
@@ -275,18 +273,13 @@ def to_activity_instances(
             open_starts[key].append(event)
         elif event.lifecycle == "end":
             if open_starts[key]:
-                start = open_starts[key].popleft()
+                start = open_starts[key].popleft().timestamp
                 summary.matched_pairs += 1
-                instances.append(
-                    ActivityInstance(event.trace_id, event.activity,
-                                     start.timestamp, event.timestamp, event.resource)
-                )
             else:
+                start = event.timestamp
                 summary.orphan_ends += 1
-                instances.append(
-                    ActivityInstance(event.trace_id, event.activity,
-                                     event.timestamp, event.timestamp, event.resource)
-                )
+            instances.append(ActivityInstance(event.trace_id, event.activity, start,
+                                              event.timestamp, event.resource))
         else:
             summary.dropped_other_lifecycle += 1
     summary.dropped_starts = sum(len(q) for q in open_starts.values())

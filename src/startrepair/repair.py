@@ -39,9 +39,11 @@ class RepairConfig:
             raise ConfigurationError(
                 f"outlier threshold must be finite and > 1, got {threshold}"
             )
-        object.__setattr__(self, "bot_resources", frozenset(self.bot_resources))
-        object.__setattr__(self, "instant_activities",
-                           frozenset(self.instant_activities))
+        for name in ("bot_resources", "instant_activities"):
+            labels = getattr(self, name)
+            if isinstance(labels, str):  # would silently split into characters
+                raise ConfigurationError(f"{name} must be a set of labels, got {labels!r}")
+            object.__setattr__(self, name, frozenset(labels))
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,8 @@ def _anchors(
         return None, None, instance.end, True
     rat = resource_availability_time(instance, log)
     ent = enablement_time(instance, log, relation)
-    if rat is None:
-        return rat, ent, ent, False
-    if ent is None:
-        return rat, ent, rat, False
+    if rat is None or ent is None:
+        return rat, ent, ent if rat is None else rat, False
     return rat, ent, max(rat, ent), False
 
 

@@ -257,3 +257,56 @@ class TestConfigValues:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["df_threshold"], config["balance_threshold"]) == (0.05, 0.75)
         assert config["statistic"] == "median"
+
+
+LONG_CELL = "x" * 200_000  # past the csv module's default field limit of 131072
+
+
+class TestInputFiles:
+    def test_long_cell_in_a_log_is_a_one_line_error(self, shipping_file, tmp_path,
+                                                    capsys):
+        log = tmp_path / "long.csv"
+        log.write_text(shipping_csv() + f"26,{LONG_CELL},2021-03-09 08:00:00,"
+                       "2021-03-09 09:00:00,Fry\n")
+        out = tmp_path / "out.csv"
+        for argv in (("repair", "--input", log, "--output", out),
+                     ("evaluate", "--reference", shipping_file, "--other", log)):
+            assert run(*argv) == 1
+            assert_one_line_error(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_long_cell_in_a_relation_file_is_a_one_line_error(self, shipping_file,
+                                                              tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"Register Order,{LONG_CELL}\n")
+        out = tmp_path / "out.csv"
+        assert run("repair", "--input", shipping_file, "--output", out,
+                   "--concurrency-file", pairs) == 1
+        assert_one_line_error(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_byte_order_mark_config_file(self, shipping_file, tmp_path):
+        text = json.dumps({"statistic": "mode", "outlier_threshold": 2,
+                           "bot_resources": ["Fry"]})
+        out, report, outs = tmp_path / "out.csv", tmp_path / "report.json", []
+        for name, data in (("plain", text.encode()),
+                           ("marked", b"\xef\xbb\xbf" + text.encode())):
+            config = tmp_path / f"{name}.json"
+            config.write_bytes(data)
+            assert run("repair", "--input", shipping_file, "--output", out,
+                       "--config", config, "--report", report) == 0
+            outs.append((out.read_bytes(), report.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_byte_order_mark_spec_file(self, tmp_path):
+        text = json.dumps({"seed": 3, "trace_count": 5, "stages": ["a", ["b", "c"]]})
+        outs = []
+        for name, data in (("plain", text.encode()),
+                           ("marked", b"\xef\xbb\xbf" + text.encode())):
+            spec = tmp_path / f"{name}.json"
+            spec.write_bytes(data)
+            truth, corrupted = tmp_path / f"{name}-t.csv", tmp_path / f"{name}-c.csv"
+            assert run("generate", "--spec", spec, "--out-truth", truth,
+                       "--out-corrupted", corrupted) == 0
+            outs.append((truth.read_bytes(), corrupted.read_bytes()))
+        assert outs[0] == outs[1]

@@ -44,6 +44,15 @@ class TestGenSpec:
         assert spec.stages == (("a",), ("b", "c"), ("d",))
         assert spec.concurrency_pairs().sorted_pairs() == [("b", "c")]
 
+    def test_string_stage_is_one_activity_in_every_constructor(self):
+        spec = GenSpec(seed=1, trace_count=3,
+                       stages=("Register", ("Pack", "Invoice"), "Deliver"))
+        assert spec == GenSpec.from_dict({"seed": 1, "trace_count": 3, "stages": [
+            "Register", ["Pack", "Invoice"], "Deliver"]})
+        truth, corrupted = generate(spec)
+        for log in (truth, corrupted):
+            assert log.activities() == {"Register", "Pack", "Invoice", "Deliver"}
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             GenSpec.from_dict({"seed": 3, "trace_count": 2, "bogus": 1})

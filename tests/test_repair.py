@@ -286,6 +286,12 @@ class TestRepairStartTimes:
             with pytest.raises(ConfigurationError):
                 RepairConfig(outlier_threshold=threshold)
 
+    @pytest.mark.parametrize("field", ["bot_resources", "instant_activities"])
+    def test_bare_string_is_not_a_label_set(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            RepairConfig(**{field: "R04"})
+        assert getattr(RepairConfig(**{field: ["R04"]}), field) == frozenset({"R04"})
+
 
 class TestRepairProperties:
     @given(instance_logs(max_size=12))
