@@ -10,8 +10,11 @@ generated log, so that two versions of the program can be compared with a
 The log is generated with stages Register, Pack || Invoice, Check, Deliver,
 5 resources and 10% missing resources. Each configuration repairs it, then
 evaluates the repaired log against the ground truth (JSON, text and histogram
-dumps) and runs `concurrency` with its thresholds. The last configuration
-reads the same log written as event rows. Report paths are normalised.
+dumps) and runs `concurrency` with its thresholds. The event-rows
+configuration reads the same log written as event rows, and the mixed-offsets
+one reads it with every other trace's stamps written at UTC+02:00, so that a
+repaired start can take an anchor of another offset. Report paths are
+normalised.
 """
 from __future__ import annotations
 
@@ -22,8 +25,10 @@ import hashlib
 import io
 import os
 import tempfile
+from dataclasses import replace
+from datetime import timedelta, timezone
 
-from startrepair import GenSpec, generate, write_activity_instance_log
+from startrepair import ActivityInstanceLog, GenSpec, generate, write_activity_instance_log
 from startrepair.cli import main as cli_main
 from startrepair.model import format_timestamp
 
@@ -38,6 +43,7 @@ CONFIGURATIONS = (
     ("bots-thresholds", "instances", ("--bot-resources", "R00,R01", "--df-threshold",
                                       "0.2", "--balance-threshold", "0.5")),
     ("event-rows", "events", EVENT_FLAGS),
+    ("mixed-offsets", "mixed", ()),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -69,6 +75,17 @@ def _write_event_rows(log, path: str) -> None:
         writer.writerows((t, a, format_timestamp(s), p, r) for t, a, s, p, r in rows)
 
 
+def _mixed_offsets(log: ActivityInstanceLog) -> ActivityInstanceLog:
+    """The log with the stamps of every other trace, in order of first
+    appearance, moved to UTC+02:00: the same instants, other offsets."""
+    traces = list(dict.fromkeys(i.trace_id for i in log.instances))
+    moved, plus_two = set(traces[::2]), timezone(timedelta(hours=2))
+    return ActivityInstanceLog(
+        replace(i, start=i.start.astimezone(plus_two), end=i.end.astimezone(plus_two))
+        if i.trace_id in moved else i
+        for i in log.instances)
+
+
 def digests(seed: int, traces: int, workdir: str):
     """Yield (configuration, artefact, sha256 hex digest)."""
     spec = GenSpec(seed=seed, trace_count=traces,
@@ -76,8 +93,9 @@ def digests(seed: int, traces: int, workdir: str):
                    resource_count=5, missing_resource_rate=0.1)
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
-             for name in ("truth", "instances", "events")}
-    for name, log in (("truth", truth), ("instances", corrupted)):
+             for name in ("truth", "instances", "events", "mixed")}
+    for name, log in (("truth", truth), ("instances", corrupted),
+                      ("mixed", _mixed_offsets(corrupted))):
         with open(paths[name], "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)
     _write_event_rows(corrupted, paths["events"])

@@ -4,8 +4,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from . import concurrency as conc
@@ -110,8 +112,18 @@ def _mapping_from(resolved: dict) -> ColumnMapping:
     )
 
 
-def _read_log(path: str, mapping: ColumnMapping):
+@contextmanager
+def _input_file(path: str):
+    """`path` opened for a reader; a format error in its content names it."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
+        try:
+            yield handle
+        except LogFormatError as exc:
+            raise LogFormatError(f"{path!r}: {exc}") from None
+
+
+def _read_log(path: str, mapping: ColumnMapping):
+    with _input_file(path) as handle:
         if mapping.is_event_per_row:
             return to_activity_instances(parse_event_log(handle, mapping))
         return read_instance_log(handle, mapping), None
@@ -124,7 +136,7 @@ def _thresholds(resolved: dict) -> conc.OracleThresholds:
 def _relation_for(log: ActivityInstanceLog, resolved: dict,
                   thresholds: conc.OracleThresholds) -> conc.ConcurrencyRelation:
     if resolved.get("concurrency_file"):
-        with open(resolved["concurrency_file"], encoding="utf-8-sig", newline="") as handle:
+        with _input_file(resolved["concurrency_file"]) as handle:
             return conc.load_concurrency(handle)
     return conc.discover_from_log(log, thresholds)
 
@@ -256,12 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # A job allocates an object or more per row but makes no reference cycles
+    # that grow with the log, so the cyclic collector's passes find next to
+    # nothing; pause it for the job and restore the caller's setting after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (ConfigurationError, LogFormatError, OSError, json.JSONDecodeError,
             ValueError, OverflowError, csv.Error) as exc:
         print(f"startrepair: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

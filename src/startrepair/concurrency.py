@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
 
-from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, _text_stream
+from .model import (ActivityInstanceLog, ConfigurationError, LogFormatError, _csv_records,
+                    _text_stream)
 
 log = logging.getLogger(__name__)
 
@@ -115,7 +116,7 @@ def load_concurrency(source) -> ConcurrencyRelation:
     The result is symmetrized and reflexive rows are dropped with a warning.
     """
     pairs = []
-    for line_number, row in enumerate(csv.reader(_text_stream(source)), start=1):
+    for line_number, row in enumerate(_csv_records(source), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:

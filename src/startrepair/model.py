@@ -178,6 +178,16 @@ def _text_stream(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase],
     return source
 
 
+def _csv_records(source):
+    """The csv module's records of `source`. A fault it raises, such as a
+    field over its size limit, becomes a LogFormatError naming the line."""
+    records = csv.reader(_text_stream(source))
+    try:
+        yield from records
+    except csv.Error as exc:
+        raise LogFormatError(f"line {records.line_num}: {exc}") from None
+
+
 def _rows(source, mapping: ColumnMapping):
     """Decode the CSV rows of `source` under `mapping`.
 
@@ -189,7 +199,7 @@ def _rows(source, mapping: ColumnMapping):
     occurrence. A row may lack unmapped trailing cells but no mapped one, and
     may not be longer than the header.
     """
-    rows = csv.reader(_text_stream(source))
+    rows = _csv_records(source)
     header = next(rows, None)
     if header is None:
         raise LogFormatError("input has no header row")
@@ -309,9 +319,19 @@ def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     out = _text_stream(sink, "utf-8")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(INSTANCE_HEADER)
+    # Each stamp object is formatted once: a repaired start is often another
+    # instance's end object. The memo is keyed by identity, never by value:
+    # equal instants with different offsets compare equal but print
+    # differently. The log keeps every stamp alive, so no id is reused here.
+    texts: dict[int, str] = {}
     for inst in log.instances:
-        writer.writerow(
-            (inst.trace_id, inst.activity, format_timestamp(inst.start),
-             format_timestamp(inst.end), inst.resource or "")
-        )
+        start, end = inst.start, inst.end
+        start_text = texts.get(id(start))
+        if start_text is None:
+            start_text = texts[id(start)] = format_timestamp(start)
+        end_text = texts.get(id(end))
+        if end_text is None:
+            end_text = texts[id(end)] = format_timestamp(end)
+        writer.writerow((inst.trace_id, inst.activity, start_text, end_text,
+                         inst.resource or ""))
     out.flush()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
 from math import floor, isfinite
-from typing import Optional
+from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
 from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, _end
@@ -93,14 +93,14 @@ class RepairOutcome:
         )
 
 
-def _last_end_before(group: tuple[ActivityInstance, ...], end: datetime,
+def _last_end_before(group: Sequence[ActivityInstance], i: int,
                      relation: Optional[ConcurrencyRelation] = None,
                      activity: Optional[str] = None) -> Optional[datetime]:
-    """The one anchor lookup of RAT and ENT: the largest end in the end-sorted
-    `group` strictly before `end`, skipping instances that `relation` declares
-    concurrent with `activity`. A bisection, then a walk back past concurrent
-    instances only: O(log k + c) for k instances, c of them skipped."""
-    i = bisect_left(group, end, key=_end)
+    """The one anchor rule of RAT and ENT: the largest end in the end-sorted
+    `group` before position `i`, skipping instances that `relation` declares
+    concurrent with `activity`. `i` is the first position whose end is not
+    before the instance's end, so equal ends never count as before. A walk
+    back past concurrent instances only: O(c) for c of them skipped."""
     while i > 0:
         i -= 1
         other = group[i]
@@ -116,7 +116,8 @@ def resource_availability_time(
     before this instance's end; None for the resource's first instance."""
     if instance.resource is None:
         return None
-    return _last_end_before(log.per_resource_index.get(instance.resource, ()), instance.end)
+    group = log.per_resource_index.get(instance.resource, ())
+    return _last_end_before(group, bisect_left(group, instance.end, key=_end))
 
 
 def enablement_time(
@@ -126,27 +127,70 @@ def enablement_time(
 ) -> Optional[datetime]:
     """Largest end time among same-trace instances ending strictly before this
     instance's end whose activity is not concurrent with it; None when empty."""
-    return _last_end_before(log.per_trace_index.get(instance.trace_id, ()), instance.end,
+    group = log.per_trace_index.get(instance.trace_id, ())
+    return _last_end_before(group, bisect_left(group, instance.end, key=_end),
                             relation, instance.activity)
+
+
+def _look_back(groups: dict, key, instance: ActivityInstance,
+               relation: Optional[ConcurrencyRelation] = None) -> Optional[datetime]:
+    """Add `instance`, visited in end order, to the group `key` of `groups`
+    and return `_last_end_before` over that group.
+
+    A group is `[instances seen so far, start of their current run of equal
+    ends]`. The seen instances are end-sorted, and the run start is where the
+    lookup begins, so equal ends never count as before and a long run of
+    ties is never rescanned.
+    """
+    state = groups.get(key)
+    if state is None:
+        groups[key] = [[instance], 0]
+        return None
+    seen = state[0]
+    if seen[-1].end < instance.end:
+        state[1] = len(seen)
+    seen.append(instance)
+    return _last_end_before(seen, state[1], relation, instance.activity)
+
+
+def _end_ordered_anchors(
+    instances: Sequence[ActivityInstance], relation: ConcurrencyRelation,
+) -> tuple[list[Optional[datetime]], list[Optional[datetime]]]:
+    """RAT and ENT of every instance, by position, from one visit of the
+    instances in end order: O(n log n) for the sort, then O(1) per instance
+    plus the concurrent instances ENT skips. The sort keeps log order among
+    equal ends, as the log's indexes do, so each anchor is the very object
+    `resource_availability_time` and `enablement_time` return.
+    """
+    ends = [instance.end for instance in instances]
+    rats: list[Optional[datetime]] = [None] * len(ends)
+    ents: list[Optional[datetime]] = [None] * len(ends)
+    by_resource: dict[str, list] = {}
+    by_trace: dict[str, list] = {}
+    for i in sorted(range(len(ends)), key=ends.__getitem__):
+        instance = instances[i]
+        if instance.resource is not None:  # an unknown performer has no RAT
+            rats[i] = _look_back(by_resource, instance.resource, instance)
+        ents[i] = _look_back(by_trace, instance.trace_id, instance, relation)
+    return rats, ents
 
 
 def _anchors(
     instance: ActivityInstance,
-    log: ActivityInstanceLog,
-    relation: ConcurrencyRelation,
+    rat: Optional[datetime],
+    ent: Optional[datetime],
     config: RepairConfig,
 ) -> tuple[Optional[datetime], Optional[datetime], Optional[datetime], bool]:
-    """The rule chain for one instance: (rat, ent, earliest, instant).
+    """The rule chain for one instance, given its RAT and ENT:
+    (rat, ent, earliest, instant).
 
-    Bot and instant instances start at their end and skip the RAT/ENT lookups.
-    An unknown performer has no RAT: it is treated as a maximum-capacity pool.
+    Bot and instant instances start at their end and drop their anchors. An
+    unknown performer has no RAT: it is treated as a maximum-capacity pool.
     """
     if instance.activity in config.instant_activities or (
         instance.resource is not None and instance.resource in config.bot_resources
     ):
         return None, None, instance.end, True
-    rat = resource_availability_time(instance, log)
-    ent = enablement_time(instance, log, relation)
     if rat is None or ent is None:
         return rat, ent, ent if rat is None else rat, False
     return rat, ent, max(rat, ent), False
@@ -160,7 +204,8 @@ def earliest_start(
 ) -> Optional[datetime]:
     """Earliest instant the instance could have started: max of resource
     availability and enablement, with the bot/instant and missing-resource rules."""
-    return _anchors(instance, log, relation, config)[2]
+    return _anchors(instance, resource_availability_time(instance, log),
+                    enablement_time(instance, log, relation), config)[2]
 
 
 def typical_repaired_duration(
@@ -197,13 +242,14 @@ def repair_start_times(
     keep start = end regardless of clamping; instances with no evidence keep
     their recorded start.
     """
-    records = [(instance, *_anchors(instance, log, relation, config))
-               for instance in log.instances]
+    instances = log.instances
+    records = [_anchors(instance, rat, ent, config) for instance, rat, ent
+               in zip(instances, *_end_ordered_anchors(instances, relation))]
 
     bounds: dict[str, timedelta] = {}
     if config.outlier_threshold is not None:
         by_activity: dict[str, list[timedelta]] = defaultdict(list)
-        for instance, _, _, earliest, _ in records:
+        for instance, (_, _, earliest, _) in zip(instances, records):
             if earliest is not None:
                 by_activity[instance.activity].append(instance.end - earliest)
         for activity, durations in by_activity.items():
@@ -215,7 +261,7 @@ def repair_start_times(
 
     repaired_instances: list[ActivityInstance] = []
     estimates, rules = [], []
-    for instance, rat, ent, earliest, instant in records:
+    for instance, (rat, ent, earliest, instant) in zip(instances, records):
         if instant:
             repaired, rule = instance.end, RULE_BOT_OR_INSTANT
         elif earliest is None:

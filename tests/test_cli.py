@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from startrepair.cli import main
+from startrepair.repair import repair_start_times
 
 from .conftest import shipping_csv
 
@@ -274,6 +276,10 @@ class TestInputFiles:
             assert run(*argv) == 1
             assert_one_line_error(capsys.readouterr().err)
         assert not out.exists()
+        for argv in (("repair", "--input", log, "--output", out),
+                     ("evaluate", "--reference", shipping_file, "--other", log)):
+            run(*argv)
+            assert "long.csv" in capsys.readouterr().err
 
     def test_long_cell_in_a_relation_file_is_a_one_line_error(self, shipping_file,
                                                               tmp_path, capsys):
@@ -284,6 +290,9 @@ class TestInputFiles:
                    "--concurrency-file", pairs) == 1
         assert_one_line_error(capsys.readouterr().err)
         assert not out.exists()
+        run("repair", "--input", shipping_file, "--output", out,
+            "--concurrency-file", pairs)
+        assert "pairs.csv" in capsys.readouterr().err
 
     def test_byte_order_mark_config_file(self, shipping_file, tmp_path):
         text = json.dumps({"statistic": "mode", "outlier_threshold": 2,
@@ -310,3 +319,37 @@ class TestInputFiles:
                        "--out-corrupted", corrupted) == 0
             outs.append((truth.read_bytes(), corrupted.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestCollectorState:
+    """A job runs with the cyclic collector paused, and leaves it as it was."""
+
+    def test_paused_during_a_job_and_restored(self, shipping_file, tmp_path,
+                                              monkeypatch):
+        seen = []
+
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return repair_start_times(*args)
+
+        monkeypatch.setattr("startrepair.cli.repair_start_times", watched)
+        assert gc.isenabled()
+        assert run("repair", "--input", shipping_file, "--output", tmp_path / "out.csv") == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_an_error(self, tmp_path, capsys):
+        assert gc.isenabled()
+        assert run("repair", "--input", tmp_path / "missing.csv",
+                   "--output", tmp_path / "out.csv") == 1
+        assert_one_line_error(capsys.readouterr().err)
+        assert gc.isenabled()
+
+    def test_left_disabled_for_a_caller_that_disabled_it(self, shipping_file, tmp_path):
+        gc.disable()
+        try:
+            assert run("repair", "--input", shipping_file,
+                       "--output", tmp_path / "out.csv") == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

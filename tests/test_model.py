@@ -356,6 +356,27 @@ class TestWriteRoundTrip:
         back = read_instance_log(io.StringIO(sink.getvalue()))
         assert back == log
 
+    def test_each_stamp_keeps_its_own_offset(self):
+        # equal instants with different offsets compare and hash equal, yet
+        # each must be written with its own offset
+        utc = ts("2021-03-01 09:00:00")
+        plus_two = utc.astimezone(timezone(timedelta(hours=2)))
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "a", utc, utc, "r"),
+            ActivityInstance("2", "b", plus_two, plus_two, "r"),
+            ActivityInstance("3", "c", utc, plus_two, "r"),
+            ActivityInstance("4", "d", plus_two, utc, None),
+        ])
+        sink = io.StringIO()
+        write_activity_instance_log(log, sink)
+        utc_text, plus_two_text = "2021-03-01 09:00:00+00:00", "2021-03-01 11:00:00+02:00"
+        assert sink.getvalue().splitlines()[1:] == [
+            f"1,a,{utc_text},{utc_text},r",
+            f"2,b,{plus_two_text},{plus_two_text},r",
+            f"3,c,{utc_text},{plus_two_text},r",
+            f"4,d,{plus_two_text},{utc_text},",
+        ]
+
 
 class TestInvariants:
     def test_start_after_end_rejected(self):

@@ -358,6 +358,25 @@ class TestRepairProperties:
         assert len(outcome.per_instance) == len(shipping_log)
         assert outcome.per_instance is outcome.per_instance
 
+    # a 3 s horizon and durations of at most 2 s give many equal ends within
+    # a resource and within a trace
+    @given(instance_logs(horizon_seconds=3, max_duration_seconds=2, max_size=30),
+           st.lists(st.tuples(st.sampled_from(ACTIVITIES), st.sampled_from(ACTIVITIES))),
+           st.frozensets(st.sampled_from(("r1", "r2"))),
+           st.frozensets(st.sampled_from(ACTIVITIES)))
+    def test_end_ordered_pass_on_heavy_ties(self, log, pairs, bots, instants):
+        relation = ConcurrencyRelation(pairs)
+        config = RepairConfig(bot_resources=bots, instant_activities=instants)
+        outcome = repair_start_times(log, relation, config)
+        for record, instance in zip(outcome.per_instance, log.instances):
+            if record.rule_applied != RULE_BOT_OR_INSTANT:
+                assert record.rat == brute_force_rat(instance, log)
+                assert record.ent == brute_force_ent(instance, log, relation)
+
+    def test_repair_builds_no_resource_index(self, shipping_log):
+        repair_start_times(shipping_log, discover_from_log(shipping_log))
+        assert "per_resource_index" not in shipping_log.__dict__
+
     @given(instance_logs(max_size=12))
     def test_rule_counts_sum_to_instances(self, log):
         outcome = repair_start_times(log, discover_from_log(log))
