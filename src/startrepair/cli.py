@@ -61,7 +61,7 @@ def _load_config_file(path: Optional[str], keys) -> dict:
     them."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8-sig") as handle:
+    with _input_file(path) as handle:
         data = json.load(handle, parse_int=float)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
@@ -114,12 +114,18 @@ def _mapping_from(resolved: dict) -> ColumnMapping:
 
 @contextmanager
 def _input_file(path: str):
-    """`path` opened for a reader; a format error in its content names it."""
+    """`path` opened for a reader; a format error in its content, or a byte
+    sequence that is not UTF-8, names it."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             yield handle
         except LogFormatError as exc:
             raise LogFormatError(f"{path!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # its position counts from the chunk being decoded, not the file
+            raise LogFormatError(f"{path!r}: not UTF-8 text "
+                                 f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+                                 ) from None
 
 
 def _read_log(path: str, mapping: ColumnMapping):
@@ -200,9 +206,9 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_generate(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8-sig") as handle:
-        spec = loggen.GenSpec.from_dict(json.load(handle))
-    truth, corrupted = loggen.generate(spec)
+    with _input_file(args.spec) as handle:
+        data = json.load(handle)
+    truth, corrupted = loggen.generate(loggen.GenSpec.from_dict(data))
     for path, log in ((args.out_truth, truth), (args.out_corrupted, corrupted)):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)

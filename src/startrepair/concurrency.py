@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable
 
 from .model import (ActivityInstanceLog, ConfigurationError, LogFormatError, _csv_records,
@@ -68,21 +67,25 @@ def count_directly_follows(log_: ActivityInstanceLog) -> Counter:
     instance only while the next one starts before it ends, so a trace of k
     instances costs O(k log k + overlapping pairs) rather than O(k^2).
     """
+    by_trace: dict[str, list] = defaultdict(list)
+    for trace, start, end, activity in zip(log_.trace_ids, log_.starts, log_.ends,
+                                           log_.activities):
+        by_trace[trace].append((start, end, activity))
     counts = Counter()
-    for trace_instances in log_.per_trace_index.values():
-        ordered = sorted(trace_instances, key=attrgetter("start", "end", "activity"))
-        for previous, current in zip(ordered, ordered[1:]):
-            counts[(previous.activity, current.activity)] += 1
+    for ordered in by_trace.values():
+        ordered.sort()
+        for (_, _, previous), (_, _, current) in zip(ordered, ordered[1:]):
+            counts[(previous, current)] += 1
         size = len(ordered)
-        for i, first in enumerate(ordered):
+        for i, (_, first_end, first) in enumerate(ordered):
             for j in range(i + 1, size):
-                second = ordered[j]
+                second_start, _, second = ordered[j]
                 # every later instance starts later still; before that, the
                 # (start, end) order already gives first.start < second.end
-                if second.start >= first.end:
+                if second_start >= first_end:
                     break
-                counts[(first.activity, second.activity)] += 1
-                counts[(second.activity, first.activity)] += 1
+                counts[(first, second)] += 1
+                counts[(second, first)] += 1
     return counts
 
 

@@ -6,6 +6,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 from math import floor
 from typing import Mapping, Optional
 
@@ -47,12 +48,13 @@ def timestamp_histogram(
     The origin defaults to the log's earliest timestamp truncated to the hour;
     pass a shared origin to co-discretize two logs.
     """
-    if not log.instances:
+    if not log:
         raise ValueError("cannot discretize an empty log")
-    points = [t for inst in log.instances for t in (inst.start, inst.end)]
+    # a start is never after its end, so the first earliest stamp, whose
+    # offset sets the hour boundaries, is a start
     if origin is None:
-        origin = min(points).replace(minute=0, second=0, microsecond=0)
-    counts = Counter((point - origin) // HOUR for point in points)
+        origin = min(log.starts).replace(minute=0, second=0, microsecond=0)
+    counts = Counter((point - origin) // HOUR for point in chain(log.starts, log.ends))
     masses = {index: float(count) for index, count in counts.items()}
     return Histogram(origin.timestamp(), HOUR.total_seconds(), masses)
 
@@ -61,15 +63,15 @@ def trace_cycle_times(log: ActivityInstanceLog) -> dict[str, timedelta]:
     """Per trace, in order of first appearance: largest end timestamp minus
     smallest start timestamp. One pass over the instances; no index is built."""
     spans: dict[str, list[datetime]] = {}
-    for inst in log.instances:
-        span = spans.get(inst.trace_id)
+    for trace, start, end in zip(log.trace_ids, log.starts, log.ends):
+        span = spans.get(trace)
         if span is None:
-            spans[inst.trace_id] = [inst.start, inst.end]
+            spans[trace] = [start, end]
         else:
-            if inst.start < span[0]:
-                span[0] = inst.start
-            if inst.end > span[1]:
-                span[1] = inst.end
+            if start < span[0]:
+                span[0] = start
+            if end > span[1]:
+                span[1] = end
     return {trace: last - first for trace, (first, last) in spans.items()}
 
 
@@ -96,7 +98,7 @@ def cycle_time_histograms(
     A zero-range reference (all cycle times equal) has no defined W; both logs
     are then binned with a 1-second width anchored at the shared value.
     """
-    if not reference.instances or not other.instances:
+    if not reference or not other:
         raise ValueError("cannot discretize an empty log")
     ref_seconds = [ct.total_seconds() for ct in trace_cycle_times(reference).values()]
     other_seconds = [ct.total_seconds() for ct in trace_cycle_times(other).values()]
@@ -146,11 +148,10 @@ def evaluate_logs(
 ) -> EmdReport:
     """Compare two logs: EMD over shared date-hour timestamp histograms and
     over cycle-time histograms on the reference-defined grid."""
-    if not reference.instances or not other.instances:
+    if not reference or not other:
         raise ValueError("cannot discretize an empty log")
-    shared_origin = min(
-        inst.start for log in (reference, other) for inst in log.instances
-    ).replace(minute=0, second=0, microsecond=0)
+    shared_origin = min(chain(reference.starts, other.starts)).replace(
+        minute=0, second=0, microsecond=0)
     ts_ref = timestamp_histogram(reference, shared_origin)
     ts_other = timestamp_histogram(other, shared_origin)
     ct_ref, ct_other = cycle_time_histograms(reference, other)

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, parse_timestamp
+from .model import ActivityInstanceLog, ConfigurationError, parse_timestamp
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
@@ -71,6 +71,9 @@ class GenSpec:
             raise ConfigurationError("trace_count must be >= 1")
         if self.resource_count < 1:
             raise ConfigurationError("resource_count must be >= 1")
+        if isinstance(self.stages, str):  # would silently split into letters
+            raise ConfigurationError(f"stages must be a sequence of stages, "
+                                     f"got {self.stages!r}")
         stages = tuple((stage,) if isinstance(stage, str) else tuple(stage)
                        for stage in self.stages)
         if not stages or any(not stage for stage in stages):
@@ -124,8 +127,8 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
     rng = random.Random(spec.seed)
     resources = [f"R{i:02d}" for i in range(spec.resource_count)]
     resource_free = dict.fromkeys(resources, spec.first_arrival)
-    truth: list[ActivityInstance] = []
-    corrupted: list[ActivityInstance] = []
+    trace_ids, activities, ends, recorded_resources = [], [], [], []
+    truth_starts, corrupted_starts = [], []
 
     arrival = spec.first_arrival
     for trace_number in range(spec.trace_count):
@@ -149,15 +152,17 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
                 ):
                     recorded_resource = None
                 delay = timedelta(seconds=rng.randint(*spec.delay_range))
-                truth.append(
-                    ActivityInstance(trace_id, activity, start, end, recorded_resource)
-                )
-                corrupted.append(
-                    ActivityInstance(
-                        trace_id, activity, min(start + delay, end), end,
-                        recorded_resource,
-                    )
-                )
+                trace_ids.append(trace_id)
+                activities.append(activity)
+                truth_starts.append(start)
+                corrupted_starts.append(min(start + delay, end))
+                ends.append(end)
+                recorded_resources.append(recorded_resource)
                 stage_ends.append(end)
             enablement = max(stage_ends)
-    return ActivityInstanceLog(truth), ActivityInstanceLog(corrupted)
+    # the two logs differ only in their starts and share the other columns
+    trace_ids, activities, ends, recorded_resources = map(
+        tuple, (trace_ids, activities, ends, recorded_resources))
+    return tuple(ActivityInstanceLog.from_columns(trace_ids, activities, starts, ends,
+                                                  recorded_resources)
+                 for starts in (truth_starts, corrupted_starts))

@@ -7,7 +7,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, le
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
@@ -87,13 +87,54 @@ class ActivityInstance:
             )
 
 
+def _column(field: str) -> cached_property:
+    """A column of a log built from instances, derived on first use."""
+    value = attrgetter(field)
+    return cached_property(lambda log: tuple(map(value, log.instances)))
+
+
 class ActivityInstanceLog:
     """Ordered collection of activity instances, immutable after construction.
-    Its per-resource and per-trace indexes, sorted by end time, are built on
-    first use and cached, so a log that is only written never builds one."""
+
+    It holds them both as five parallel columns, `trace_ids`, `activities`,
+    `starts`, `ends` and `resources`, and as `instances`, a tuple of
+    `ActivityInstance`. The form the log was not built from is derived on
+    first use and cached, so a log read from CSV and only repaired, written
+    or evaluated never builds an instance. Its per-resource and per-trace
+    indexes, sorted by end time, are also built on first use and cached.
+    """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
         self.instances: tuple[ActivityInstance, ...] = tuple(instances)
+
+    @classmethod
+    def from_columns(cls, trace_ids: Iterable[str], activities: Iterable[str],
+                     starts: Iterable[datetime], ends: Iterable[datetime],
+                     resources: Iterable[Optional[str]]) -> "ActivityInstanceLog":
+        """A log from its columns, each holding one value per instance; a
+        tuple given as a column is shared, not copied. A row that breaks an
+        `ActivityInstance` rule raises that instance's error."""
+        columns = tuple(map(tuple, (trace_ids, activities, starts, ends, resources)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns differ in length: {list(map(len, columns))}")
+        log = cls.__new__(cls)
+        log.trace_ids, log.activities, log.starts, log.ends, log.resources = columns
+        if not (all(log.trace_ids) and all(log.activities)
+                and all(map(le, log.starts, log.ends))):
+            for row in zip(*columns):
+                ActivityInstance(*row)  # the first bad row raises
+        return log
+
+    trace_ids = _column("trace_id")
+    activities = _column("activity")
+    starts = _column("start")
+    ends = _column("end")
+    resources = _column("resource")
+
+    @cached_property
+    def instances(self) -> tuple[ActivityInstance, ...]:
+        return tuple(map(ActivityInstance, self.trace_ids, self.activities, self.starts,
+                         self.ends, self.resources))
 
     def _grouped_by_end(self, field: str) -> dict:
         groups, key = defaultdict(list), attrgetter(field)
@@ -110,7 +151,7 @@ class ActivityInstanceLog:
         return self._grouped_by_end("trace_id")
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.ends)
 
     def __iter__(self):
         return iter(self.instances)
@@ -118,10 +159,10 @@ class ActivityInstanceLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActivityInstanceLog):
             return NotImplemented
-        return self.instances == other.instances
-
-    def activities(self) -> set[str]:
-        return {inst.activity for inst in self.instances}
+        # equal instances are equal in every field, so equal rows are equal columns
+        return (self.trace_ids == other.trace_ids and self.activities == other.activities
+                and self.starts == other.starts and self.ends == other.ends
+                and self.resources == other.resources)
 
 
 @dataclass(frozen=True)
@@ -276,7 +317,7 @@ def to_activity_instances(
     summary = PairingSummary()
     ordered = sorted(events, key=attrgetter("timestamp"))
     open_starts: dict[tuple, deque[Event]] = defaultdict(deque)
-    instances: list[ActivityInstance] = []
+    columns = trace_ids, activities, starts, ends, resources = [], [], [], [], []
     for event in ordered:
         key = (event.trace_id, event.activity, event.resource)
         if event.lifecycle == "start":
@@ -288,12 +329,15 @@ def to_activity_instances(
             else:
                 start = event.timestamp
                 summary.orphan_ends += 1
-            instances.append(ActivityInstance(event.trace_id, event.activity, start,
-                                              event.timestamp, event.resource))
+            trace_ids.append(event.trace_id)
+            activities.append(event.activity)
+            starts.append(start)
+            ends.append(event.timestamp)
+            resources.append(event.resource)
         else:
             summary.dropped_other_lifecycle += 1
     summary.dropped_starts = sum(len(q) for q in open_starts.values())
-    return ActivityInstanceLog(instances), summary
+    return ActivityInstanceLog.from_columns(*columns), summary
 
 
 def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> ActivityInstanceLog:
@@ -305,12 +349,19 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
     """
     if mapping.is_event_per_row:
         raise ConfigurationError("read_instance_log needs an instance-per-row mapping")
-    return ActivityInstanceLog(
-        ActivityInstance(trace, activity, _row_timestamp(raw_start, row_number),
-                         _row_timestamp(raw_end, row_number), resource)
-        for row_number, trace, activity, raw_start, raw_end, resource
-        in _rows(source, mapping)
-    )
+    columns = trace_ids, activities, starts, ends, resources = [], [], [], [], []
+    rows = _rows(source, mapping)
+    for row_number, trace, activity, raw_start, raw_end, resource in rows:
+        start = _row_timestamp(raw_start, row_number)
+        end = _row_timestamp(raw_end, row_number)
+        if start > end:  # checked per row, so that the first bad row's error wins
+            ActivityInstance(trace, activity, start, end, resource)
+        trace_ids.append(trace)
+        activities.append(activity)
+        starts.append(start)
+        ends.append(end)
+        resources.append(resource)
+    return ActivityInstanceLog.from_columns(*columns)
 
 
 def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
@@ -319,19 +370,14 @@ def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     out = _text_stream(sink, "utf-8")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(INSTANCE_HEADER)
-    # Each stamp object is formatted once: a repaired start is often another
-    # instance's end object. The memo is keyed by identity, never by value:
-    # equal instants with different offsets compare equal but print
+    # A start that is another instance's end object, as most repaired starts
+    # are, reuses that end's text. The memo is keyed by identity, never by
+    # value: equal instants with different offsets compare equal but print
     # differently. The log keeps every stamp alive, so no id is reused here.
-    texts: dict[int, str] = {}
-    for inst in log.instances:
-        start, end = inst.start, inst.end
-        start_text = texts.get(id(start))
-        if start_text is None:
-            start_text = texts[id(start)] = format_timestamp(start)
-        end_text = texts.get(id(end))
-        if end_text is None:
-            end_text = texts[id(end)] = format_timestamp(end)
-        writer.writerow((inst.trace_id, inst.activity, start_text, end_text,
-                         inst.resource or ""))
+    end_texts = list(map(format_timestamp, log.ends))
+    memo = dict(zip(map(id, log.ends), end_texts))
+    start_texts = [memo.get(id(start)) or format_timestamp(start) for start in log.starts]
+    # the csv module writes a None resource as an empty cell
+    writer.writerows(zip(log.trace_ids, log.activities, start_texts, end_texts,
+                         log.resources))
     out.flush()

@@ -8,10 +8,13 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
 from math import floor, isfinite
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
 from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, _end
+
+_end_and_activity = attrgetter("end", "activity")
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -86,26 +89,27 @@ class RepairOutcome:
     @cached_property
     def per_instance(self) -> tuple[InstanceRepair, ...]:
         return tuple(
-            InstanceRepair(before.start, rat, ent, earliest, after.start, rule)
+            InstanceRepair(before, rat, ent, earliest, after, rule)
             for before, after, (rat, ent, earliest), rule in zip(
-                self.log.instances, self.repaired_log.instances, self.estimates,
-                self.rules)
+                self.log.starts, self.repaired_log.starts, self.estimates, self.rules)
         )
 
 
-def _last_end_before(group: Sequence[ActivityInstance], i: int,
+def _last_end_before(group: Sequence, i: int,
                      relation: Optional[ConcurrencyRelation] = None,
-                     activity: Optional[str] = None) -> Optional[datetime]:
+                     activity: Optional[str] = None,
+                     fields: Optional[Callable] = None) -> Optional[datetime]:
     """The one anchor rule of RAT and ENT: the largest end in the end-sorted
-    `group` before position `i`, skipping instances that `relation` declares
-    concurrent with `activity`. `i` is the first position whose end is not
-    before the instance's end, so equal ends never count as before. A walk
-    back past concurrent instances only: O(c) for c of them skipped."""
+    `group` before position `i`, skipping entries that `relation` declares
+    concurrent with `activity`. `group` holds `(end, activity)` pairs, or
+    items that `fields` maps to one. `i` is the first position whose end is
+    not before the instance's end, so equal ends never count as before. A
+    walk back past concurrent entries only: O(c) for c of them skipped."""
     while i > 0:
         i -= 1
-        other = group[i]
-        if relation is None or not relation.concurrent(other.activity, activity):
-            return other.end  # group is end-sorted, first hit is the max
+        end, other = group[i] if fields is None else fields(group[i])
+        if relation is None or not relation.concurrent(other, activity):
+            return end  # group is end-sorted, first hit is the max
     return None
 
 
@@ -117,7 +121,8 @@ def resource_availability_time(
     if instance.resource is None:
         return None
     group = log.per_resource_index.get(instance.resource, ())
-    return _last_end_before(group, bisect_left(group, instance.end, key=_end))
+    return _last_end_before(group, bisect_left(group, instance.end, key=_end),
+                            fields=_end_and_activity)
 
 
 def enablement_time(
@@ -129,54 +134,58 @@ def enablement_time(
     instance's end whose activity is not concurrent with it; None when empty."""
     group = log.per_trace_index.get(instance.trace_id, ())
     return _last_end_before(group, bisect_left(group, instance.end, key=_end),
-                            relation, instance.activity)
+                            relation, instance.activity, _end_and_activity)
 
 
-def _look_back(groups: dict, key, instance: ActivityInstance,
+def _look_back(groups: dict, key, entry: tuple[datetime, str],
                relation: Optional[ConcurrencyRelation] = None) -> Optional[datetime]:
-    """Add `instance`, visited in end order, to the group `key` of `groups`
-    and return `_last_end_before` over that group.
+    """Add `entry`, the `(end, activity)` of an instance visited in end
+    order, to the group `key` of `groups` and return `_last_end_before` over
+    that group.
 
-    A group is `[instances seen so far, start of their current run of equal
-    ends]`. The seen instances are end-sorted, and the run start is where the
+    A group is `[entries seen so far, start of their current run of equal
+    ends]`. The seen entries are end-sorted, and the run start is where the
     lookup begins, so equal ends never count as before and a long run of
     ties is never rescanned.
     """
     state = groups.get(key)
     if state is None:
-        groups[key] = [[instance], 0]
+        groups[key] = [[entry], 0]
         return None
     seen = state[0]
-    if seen[-1].end < instance.end:
+    if seen[-1][0] < entry[0]:
         state[1] = len(seen)
-    seen.append(instance)
-    return _last_end_before(seen, state[1], relation, instance.activity)
+    seen.append(entry)
+    return _last_end_before(seen, state[1], relation, entry[1])
 
 
 def _end_ordered_anchors(
-    instances: Sequence[ActivityInstance], relation: ConcurrencyRelation,
+    log: ActivityInstanceLog, relation: ConcurrencyRelation,
 ) -> tuple[list[Optional[datetime]], list[Optional[datetime]]]:
     """RAT and ENT of every instance, by position, from one visit of the
-    instances in end order: O(n log n) for the sort, then O(1) per instance
+    log's rows in end order: O(n log n) for the sort, then O(1) per instance
     plus the concurrent instances ENT skips. The sort keeps log order among
     equal ends, as the log's indexes do, so each anchor is the very object
     `resource_availability_time` and `enablement_time` return.
     """
-    ends = [instance.end for instance in instances]
+    ends, resources, trace_ids = log.ends, log.resources, log.trace_ids
+    entries = list(zip(ends, log.activities))
     rats: list[Optional[datetime]] = [None] * len(ends)
     ents: list[Optional[datetime]] = [None] * len(ends)
     by_resource: dict[str, list] = {}
     by_trace: dict[str, list] = {}
     for i in sorted(range(len(ends)), key=ends.__getitem__):
-        instance = instances[i]
-        if instance.resource is not None:  # an unknown performer has no RAT
-            rats[i] = _look_back(by_resource, instance.resource, instance)
-        ents[i] = _look_back(by_trace, instance.trace_id, instance, relation)
+        entry, resource = entries[i], resources[i]
+        if resource is not None:  # an unknown performer has no RAT
+            rats[i] = _look_back(by_resource, resource, entry)
+        ents[i] = _look_back(by_trace, trace_ids[i], entry, relation)
     return rats, ents
 
 
 def _anchors(
-    instance: ActivityInstance,
+    activity: str,
+    resource: Optional[str],
+    end: datetime,
     rat: Optional[datetime],
     ent: Optional[datetime],
     config: RepairConfig,
@@ -187,10 +196,10 @@ def _anchors(
     Bot and instant instances start at their end and drop their anchors. An
     unknown performer has no RAT: it is treated as a maximum-capacity pool.
     """
-    if instance.activity in config.instant_activities or (
-        instance.resource is not None and instance.resource in config.bot_resources
+    if activity in config.instant_activities or (
+        resource is not None and resource in config.bot_resources
     ):
-        return None, None, instance.end, True
+        return None, None, end, True
     if rat is None or ent is None:
         return rat, ent, ent if rat is None else rat, False
     return rat, ent, max(rat, ent), False
@@ -204,7 +213,8 @@ def earliest_start(
 ) -> Optional[datetime]:
     """Earliest instant the instance could have started: max of resource
     availability and enablement, with the bot/instant and missing-resource rules."""
-    return _anchors(instance, resource_availability_time(instance, log),
+    return _anchors(instance.activity, instance.resource, instance.end,
+                    resource_availability_time(instance, log),
                     enablement_time(instance, log, relation), config)[2]
 
 
@@ -242,16 +252,18 @@ def repair_start_times(
     keep start = end regardless of clamping; instances with no evidence keep
     their recorded start.
     """
-    instances = log.instances
-    records = [_anchors(instance, rat, ent, config) for instance, rat, ent
-               in zip(instances, *_end_ordered_anchors(instances, relation))]
+    activities, starts, ends = log.activities, log.starts, log.ends
+    rats, ents = _end_ordered_anchors(log, relation)
+    records = [_anchors(activity, resource, end, rat, ent, config)
+               for activity, resource, end, rat, ent
+               in zip(activities, log.resources, ends, rats, ents)]
 
     bounds: dict[str, timedelta] = {}
     if config.outlier_threshold is not None:
         by_activity: dict[str, list[timedelta]] = defaultdict(list)
-        for instance, (_, _, earliest, _) in zip(instances, records):
+        for activity, end, (_, _, earliest, _) in zip(activities, ends, records):
             if earliest is not None:
-                by_activity[instance.activity].append(instance.end - earliest)
+                by_activity[activity].append(end - earliest)
         for activity, durations in by_activity.items():
             typical = typical_repaired_duration(durations, config.statistic)
             try:
@@ -259,25 +271,25 @@ def repair_start_times(
             except OverflowError:
                 pass  # a cap beyond timedelta's range never binds: leave uncapped
 
-    repaired_instances: list[ActivityInstance] = []
-    estimates, rules = [], []
-    for instance, (rat, ent, earliest, instant) in zip(instances, records):
+    repaired_starts, estimates, rules = [], [], []
+    for activity, start, end, (rat, ent, earliest, instant) in zip(
+            activities, starts, ends, records):
         if instant:
-            repaired, rule = instance.end, RULE_BOT_OR_INSTANT
+            repaired, rule = end, RULE_BOT_OR_INSTANT
         elif earliest is None:
-            repaired, rule = instance.start, RULE_NO_EVIDENCE
+            repaired, rule = start, RULE_NO_EVIDENCE
         else:
             rule = RULE_ESTIMATED
-            bound = bounds.get(instance.activity)
-            if bound is not None and instance.end - earliest > bound:
-                earliest, rule = instance.end - bound, RULE_CAPPED
+            bound = bounds.get(activity)
+            if bound is not None and end - earliest > bound:
+                earliest, rule = end - bound, RULE_CAPPED
             repaired = earliest
-            if not config.allow_later_start and repaired > instance.start:
-                repaired, rule = instance.start, RULE_CLAMPED
-        repaired_instances.append(ActivityInstance(
-            instance.trace_id, instance.activity, repaired, instance.end,
-            instance.resource))
+            if not config.allow_later_start and repaired > start:
+                repaired, rule = start, RULE_CLAMPED
+        repaired_starts.append(repaired)
         estimates.append((rat, ent, earliest))
         rules.append(rule)
-    return RepairOutcome(log, ActivityInstanceLog(repaired_instances),
-                         tuple(estimates), tuple(rules))
+    # only the starts change: the repaired log shares the other four columns
+    repaired_log = ActivityInstanceLog.from_columns(
+        log.trace_ids, activities, repaired_starts, ends, log.resources)
+    return RepairOutcome(log, repaired_log, tuple(estimates), tuple(rules))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from startrepair import ActivityInstance
 from startrepair.cli import main
 from startrepair.repair import repair_start_times
 
@@ -319,6 +320,63 @@ class TestInputFiles:
                        "--out-corrupted", corrupted) == 0
             outs.append((truth.read_bytes(), corrupted.read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind", ["input", "reference", "other", "concurrency_file",
+                                      "config", "spec"])
+    def test_non_utf8_file_is_named_in_a_one_line_error(self, shipping_file, tmp_path,
+                                                        capsys, kind):
+        text = {"input": shipping_csv(), "reference": shipping_csv(),
+                "other": shipping_csv(), "concurrency_file": "Register Order,Bill\n",
+                "config": json.dumps({"statistic": "mode"}),
+                "spec": json.dumps({"seed": 3, "trace_count": 5})}[kind]
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes(text.encode()[:-3] + b"\xff" + text.encode()[-3:])
+        out = tmp_path / "out.csv"
+        argv = {
+            "input": ("repair", "--input", bad, "--output", out),
+            "reference": ("evaluate", "--reference", bad, "--other", shipping_file),
+            "other": ("evaluate", "--reference", shipping_file, "--other", bad),
+            "concurrency_file": ("repair", "--input", shipping_file, "--output", out,
+                                 "--concurrency-file", bad),
+            "config": ("repair", "--input", shipping_file, "--output", out,
+                       "--config", bad),
+            "spec": ("generate", "--spec", bad, "--out-truth", out,
+                     "--out-corrupted", tmp_path / "corrupted.csv"),
+        }[kind]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err == (f"startrepair: error: {str(bad)!r}: not UTF-8 text "
+                       "(byte 0xff: invalid start byte)\n")
+        assert not out.exists()
+
+
+class TestNoInstanceObjects:
+    """A CLI job on instance-row inputs works on the log's columns and builds
+    no `ActivityInstance`."""
+
+    def test_jobs_build_no_instance(self, shipping_file, tmp_path, capsys, monkeypatch):
+        built = []
+        check = ActivityInstance.__post_init__
+
+        def counted(instance):
+            built.append(instance)
+            check(instance)
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 3, "trace_count": 20}))
+        out = tmp_path / "out.csv"
+        jobs = [
+            ("repair", "--input", shipping_file, "--output", out),
+            ("evaluate", "--reference", shipping_file, "--other", out),
+            ("concurrency", "--input", shipping_file),
+            ("generate", "--spec", spec, "--out-truth", tmp_path / "t.csv",
+             "--out-corrupted", tmp_path / "c.csv"),
+        ]
+        monkeypatch.setattr(ActivityInstance, "__post_init__", counted)
+        for argv in jobs:
+            assert run(*argv) == 0, capsys.readouterr().err
+            assert built == [], argv[0]
 
 
 class TestCollectorState:

@@ -37,6 +37,11 @@ class TestGenSpec:
         with pytest.raises(ConfigurationError):
             GenSpec(seed=1, trace_count=1, duration_range=(0, 10))
 
+    def test_bare_string_stages_rejected(self):
+        # a string is a sequence of letters, not a sequence of stages
+        with pytest.raises(ConfigurationError, match="stages must be a sequence"):
+            GenSpec(seed=1, trace_count=1, stages="Reg")
+
     def test_from_dict_normalizes_stages(self):
         spec = GenSpec.from_dict(
             {"seed": 3, "trace_count": 2, "stages": ["a", ["b", "c"], "d"]}
@@ -51,7 +56,7 @@ class TestGenSpec:
             "Register", ["Pack", "Invoice"], "Deliver"]})
         truth, corrupted = generate(spec)
         for log in (truth, corrupted):
-            assert log.activities() == {"Register", "Pack", "Invoice", "Deliver"}
+            assert set(log.activities) == {"Register", "Pack", "Invoice", "Deliver"}
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):

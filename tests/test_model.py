@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import operator
 import re
 from dataclasses import replace
 from datetime import timedelta
@@ -396,3 +397,55 @@ class TestInvariants:
         assert not hasattr(instance, "__dict__")
         with pytest.raises(LogFormatError, match="after end"):
             replace(instance, start=ts("2021-03-07 14:00:00"))
+
+
+def columns(log: ActivityInstanceLog) -> tuple:
+    return log.trace_ids, log.activities, log.starts, log.ends, log.resources
+
+
+class TestColumns:
+    @given(instance_logs(min_size=0))
+    def test_from_columns_is_the_same_log(self, log):
+        columnar = ActivityInstanceLog.from_columns(*columns(log))
+        assert columnar == log
+        assert columnar.instances == log.instances
+        assert columnar.per_resource_index == log.per_resource_index
+        assert columnar.per_trace_index == log.per_trace_index
+        sink = io.StringIO()
+        write_activity_instance_log(columnar, sink)
+        assert read_instance_log(io.StringIO(sink.getvalue())) == columnar
+
+    def test_reader_reports_the_first_bad_row(self):
+        # a start after its end in row 2 wins over an unparseable stamp in row 3
+        text = (HEADER + "23,Pack,2021-03-07 14:00:00,2021-03-07 13:00:00,Fry\n"
+                + "24,Pack,soon,2021-03-07 13:05:37,Fry\n")
+        with pytest.raises(LogFormatError, match=r"^instance start .* after end .*"
+                                                 r"\(trace 23, activity Pack\)$"):
+            read_instance_log(io.StringIO(text))
+
+    def test_len_and_equality_build_no_instances(self, shipping_log):
+        columnar = ActivityInstanceLog.from_columns(*columns(shipping_log))
+        assert len(columnar) == 10 and columnar == shipping_log
+        assert "instances" not in columnar.__dict__
+
+    def test_tuple_columns_are_shared(self, shipping_log):
+        columnar = ActivityInstanceLog.from_columns(*columns(shipping_log))
+        assert all(map(operator.is_, columns(columnar), columns(shipping_log)))
+
+    def test_unequal_lengths_rejected(self, shipping_log):
+        trace_ids, *rest = columns(shipping_log)
+        with pytest.raises(ValueError, match="columns differ in length"):
+            ActivityInstanceLog.from_columns(trace_ids[:-1], *rest)
+
+    # an empty trace id, an empty activity, a start after its end
+    @pytest.mark.parametrize("column, value", [
+        (0, ""), (1, ""), (2, ts("2021-03-09 00:00:00")),
+    ])
+    def test_first_bad_row_gives_the_instance_error(self, shipping_log, column, value):
+        rows = list(map(list, zip(*columns(shipping_log))))
+        rows[3][column] = value
+        rows[7][2] = ts("2021-03-09 00:00:00")  # a later bad row does not win
+        with pytest.raises(LogFormatError) as expected:
+            ActivityInstance(*rows[3])
+        with pytest.raises(LogFormatError, match=f"^{re.escape(str(expected.value))}$"):
+            ActivityInstanceLog.from_columns(*zip(*rows))

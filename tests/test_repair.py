@@ -198,6 +198,13 @@ class TestRepairStartTimes:
         assert repaired.end - repaired.start == timedelta(hours=3, minutes=26,
                                                           seconds=1)
 
+    def test_repaired_log_shares_all_but_the_start_column(self, shipping_log):
+        outcome = repair_start_times(shipping_log, discover_from_log(shipping_log))
+        repaired = outcome.repaired_log
+        for column in ("trace_ids", "activities", "ends", "resources"):
+            assert getattr(repaired, column) is getattr(shipping_log, column)
+        assert "instances" not in repaired.__dict__
+
     def test_outlier_cap_re_estimates(self):
         # nine 1h instances and one 5h outlier; eta=2 caps the outlier at 2h
         instances = []
