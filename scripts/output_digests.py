@@ -11,9 +11,13 @@ The log is generated with stages Register, Pack || Invoice, Check, Deliver,
 5 resources and 10% missing resources. Each configuration repairs it, then
 evaluates the repaired log against the ground truth (JSON, text and histogram
 dumps) and runs `concurrency` with its thresholds. The event-rows
-configuration reads the same log written as event rows, and the mixed-offsets
-one reads it with every other trace's stamps written at UTC+02:00, so that a
-repaired start can take an anchor of another offset. Report paths are
+configuration reads the same log written as event rows, in time order and
+perfectly paired. The event-rows-noisy one reads those rows with some starts
+and ends dropped, `schedule` rows added, some lifecycles upper-cased and each
+run of rows with one timestamp reversed, so that the pairing meets orphan
+ends, dangling starts, other phases and ties out of order. The mixed-offsets
+one reads the log with every other trace's stamps written at UTC+02:00, so
+that a repaired start can take an anchor of another offset. Report paths are
 normalised.
 """
 from __future__ import annotations
@@ -27,6 +31,8 @@ import os
 import tempfile
 from dataclasses import replace
 from datetime import timedelta, timezone
+from itertools import groupby
+from operator import itemgetter
 
 from startrepair import ActivityInstanceLog, GenSpec, generate, write_activity_instance_log
 from startrepair.cli import main as cli_main
@@ -44,6 +50,7 @@ CONFIGURATIONS = (
                                       "0.2", "--balance-threshold", "0.5")),
     ("event-rows", "events", EVENT_FLAGS),
     ("mixed-offsets", "mixed", ()),
+    ("event-rows-noisy", "noisy", EVENT_FLAGS),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -63,12 +70,34 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
-def _write_event_rows(log, path: str) -> None:
+def _event_rows(log) -> list[tuple]:
     """The log as event rows, start and end rows sorted by time (stable)."""
     rows = [(i.trace_id, i.activity, stamp, phase, i.resource or "")
             for i in log.instances
             for stamp, phase in ((i.start, "start"), (i.end, "end"))]
     rows.sort(key=lambda row: row[2])
+    return rows
+
+
+def _noisy(rows: list[tuple]) -> list[tuple]:
+    """The event rows without every 23rd row if it is a start and every 29th
+    if it is an end, with a `schedule` row at the time of every 7th row that
+    is a start, every 3rd lifecycle upper-cased and each run of rows with one
+    timestamp reversed."""
+    kept = []
+    for n, (trace, activity, stamp, phase, resource) in enumerate(rows):
+        if (phase == "start" and n % 23 == 0) or (phase == "end" and n % 29 == 0):
+            continue
+        if phase == "start" and n % 7 == 0:
+            kept.append((trace, activity, stamp, "schedule", resource))
+        kept.append((trace, activity, stamp, phase, resource))
+    kept = [(*row[:3], row[3].upper() if n % 3 == 0 else row[3], row[4])
+            for n, row in enumerate(kept)]
+    return [row for _, run in groupby(kept, key=itemgetter(2))
+            for row in reversed(list(run))]
+
+
+def _write_event_rows(rows: list[tuple], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("case_id", "activity", "timestamp", "lifecycle", "resource"))
@@ -93,12 +122,14 @@ def digests(seed: int, traces: int, workdir: str):
                    resource_count=5, missing_resource_rate=0.1)
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
-             for name in ("truth", "instances", "events", "mixed")}
+             for name in ("truth", "instances", "events", "mixed", "noisy")}
     for name, log in (("truth", truth), ("instances", corrupted),
                       ("mixed", _mixed_offsets(corrupted))):
         with open(paths[name], "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)
-    _write_event_rows(corrupted, paths["events"])
+    rows = _event_rows(corrupted)
+    _write_event_rows(rows, paths["events"])
+    _write_event_rows(_noisy(rows), paths["noisy"])
 
     for name, source, flags in CONFIGURATIONS:
         repaired = os.path.join(workdir, f"{name}-repaired.csv")

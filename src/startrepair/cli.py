@@ -20,9 +20,9 @@ from .model import (
     ColumnMapping,
     ConfigurationError,
     LogFormatError,
-    parse_event_log,
+    _event_rows,
+    _pair,
     read_instance_log,
-    to_activity_instances,
     write_activity_instance_log,
 )
 from .repair import STATISTICS, RepairConfig, repair_start_times
@@ -57,12 +57,12 @@ CONFIG_KEYS = {
 
 def _load_config_file(path: Optional[str], keys) -> dict:
     """Config-file settings among `keys`, typed as the flags would give them;
-    null means not given. JSON numbers are read as floats, as the flags read
-    them."""
+    null means not given. An integer given to a number setting is read from
+    its digits as a float, as the setting's flag reads it."""
     if path is None:
         return {}
     with _input_file(path) as handle:
-        data = json.load(handle, parse_int=float)
+        data = json.load(handle)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
     unknown = sorted(set(data) - set(keys))
@@ -70,6 +70,8 @@ def _load_config_file(path: Optional[str], keys) -> dict:
         raise ConfigurationError(f"unknown config keys: {unknown}")
     for key, value in data.items():
         types, description, _ = CONFIG_KEYS[key]
+        if types is float and type(value) is int:
+            value = data[key] = float(str(value))  # 2 -> 2.0, 10**400 -> inf
         if value is not None and not isinstance(value, types):
             raise ConfigurationError(
                 f"config key {key!r} must be {description}, got {json.dumps(value)}")
@@ -131,7 +133,7 @@ def _input_file(path: str):
 def _read_log(path: str, mapping: ColumnMapping):
     with _input_file(path) as handle:
         if mapping.is_event_per_row:
-            return to_activity_instances(parse_event_log(handle, mapping))
+            return _pair(_event_rows(handle, mapping))
         return read_instance_log(handle, mapping), None
 
 

@@ -12,6 +12,8 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
 _end = attrgetter("end")
+_fields = attrgetter("trace_id", "activity", "start", "end", "resource")
+_columns = attrgetter("trace_ids", "activities", "starts", "ends", "resources")
 
 
 class LogFormatError(ValueError):
@@ -87,25 +89,20 @@ class ActivityInstance:
             )
 
 
-def _column(field: str) -> cached_property:
-    """A column of a log built from instances, derived on first use."""
-    value = attrgetter(field)
-    return cached_property(lambda log: tuple(map(value, log.instances)))
-
-
 class ActivityInstanceLog:
     """Ordered collection of activity instances, immutable after construction.
 
-    It holds them both as five parallel columns, `trace_ids`, `activities`,
-    `starts`, `ends` and `resources`, and as `instances`, a tuple of
-    `ActivityInstance`. The form the log was not built from is derived on
-    first use and cached, so a log read from CSV and only repaired, written
-    or evaluated never builds an instance. Its per-resource and per-trace
-    indexes, sorted by end time, are also built on first use and cached.
+    It stores five parallel columns, `trace_ids`, `activities`, `starts`,
+    `ends` and `resources`, however it was built. `instances`, a tuple of
+    `ActivityInstance`, is a view built on first use and cached, so a log read
+    from CSV and only repaired, written or evaluated never builds an instance.
+    Its per-resource and per-trace indexes, sorted by end time, are also built
+    on first use and cached.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
-        self.instances: tuple[ActivityInstance, ...] = tuple(instances)
+        (self.trace_ids, self.activities, self.starts, self.ends,
+         self.resources) = tuple(zip(*map(_fields, instances))) or ((),) * 5
 
     @classmethod
     def from_columns(cls, trace_ids: Iterable[str], activities: Iterable[str],
@@ -125,16 +122,9 @@ class ActivityInstanceLog:
                 ActivityInstance(*row)  # the first bad row raises
         return log
 
-    trace_ids = _column("trace_id")
-    activities = _column("activity")
-    starts = _column("start")
-    ends = _column("end")
-    resources = _column("resource")
-
     @cached_property
     def instances(self) -> tuple[ActivityInstance, ...]:
-        return tuple(map(ActivityInstance, self.trace_ids, self.activities, self.starts,
-                         self.ends, self.resources))
+        return tuple(map(ActivityInstance, *_columns(self)))
 
     def _grouped_by_end(self, field: str) -> dict:
         groups, key = defaultdict(list), attrgetter(field)
@@ -160,9 +150,7 @@ class ActivityInstanceLog:
         if not isinstance(other, ActivityInstanceLog):
             return NotImplemented
         # equal instances are equal in every field, so equal rows are equal columns
-        return (self.trace_ids == other.trace_ids and self.activities == other.activities
-                and self.starts == other.starts and self.ends == other.ends
-                and self.resources == other.resources)
+        return _columns(self) == _columns(other)
 
 
 @dataclass(frozen=True)
@@ -284,24 +272,53 @@ def _row_timestamp(raw: str, row_number: int) -> datetime:
         ) from None
 
 
+def _event_rows(source, mapping: ColumnMapping):
+    """The start and end occurrences in the CSV rows of `source` under
+    `mapping`, as `(trace, activity, lifecycle, timestamp, resource)` tuples:
+    one per event row, with its lifecycle lower-cased, or a start and an end
+    per instance row."""
+    rows = _rows(source, mapping)
+    if mapping.is_event_per_row:
+        return ((trace, activity, lifecycle.lower(), _row_timestamp(raw, n), resource)
+                for n, trace, activity, raw, lifecycle, resource in rows)
+    return ((trace, activity, phase, _row_timestamp(raw, n), resource)
+            for n, trace, activity, raw_start, raw_end, resource in rows
+            for phase, raw in (("start", raw_start), ("end", raw_end)))
+
+
 def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[Event]:
     """Read a CSV event log into Events, one per start/end occurrence.
 
     Instance-per-row inputs yield two Events per data row. Row numbers in
     error messages count the header as row 1.
     """
-    rows = _rows(source, mapping)
-    if mapping.is_event_per_row:
-        return [Event(trace, activity, lifecycle.lower(),
-                      _row_timestamp(raw_ts, row_number), resource)
-                for row_number, trace, activity, raw_ts, lifecycle, resource in rows]
-    events: list[Event] = []
-    for row_number, trace, activity, raw_start, raw_end, resource in rows:
-        events.append(Event(trace, activity, "start",
-                            _row_timestamp(raw_start, row_number), resource))
-        events.append(Event(trace, activity, "end",
-                            _row_timestamp(raw_end, row_number), resource))
-    return events
+    return [Event(*row) for row in _event_rows(source, mapping)]
+
+
+def _pair(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, PairingSummary]:
+    """Pair `(trace, activity, lifecycle, timestamp, resource)` occurrences
+    into activity instances, as `to_activity_instances` describes."""
+    ordered = sorted(rows, key=itemgetter(3))
+    open_starts: dict[tuple, deque[datetime]] = defaultdict(deque)
+    columns = trace_ids, activities, starts, ends, resources = [], [], [], [], []
+    opened = 0
+    for trace, activity, lifecycle, stamp, resource in ordered:
+        if lifecycle == "start":
+            open_starts[trace, activity, resource].append(stamp)
+            opened += 1
+        elif lifecycle == "end":
+            waiting = open_starts.get((trace, activity, resource))
+            starts.append(waiting.popleft() if waiting else stamp)
+            trace_ids.append(trace)
+            activities.append(activity)
+            ends.append(stamp)
+            resources.append(resource)
+    # a start is matched or left open; an end takes a start or is an orphan
+    dropped = sum(map(len, open_starts.values()))
+    matched = opened - dropped
+    summary = PairingSummary(matched, len(ends) - matched, dropped,
+                             len(ordered) - opened - len(ends))
+    return ActivityInstanceLog.from_columns(*columns), summary
 
 
 def to_activity_instances(
@@ -314,30 +331,8 @@ def to_activity_instances(
     zero-duration instances; unmatched start events and non-start/end lifecycle
     phases are dropped and counted in the summary.
     """
-    summary = PairingSummary()
-    ordered = sorted(events, key=attrgetter("timestamp"))
-    open_starts: dict[tuple, deque[Event]] = defaultdict(deque)
-    columns = trace_ids, activities, starts, ends, resources = [], [], [], [], []
-    for event in ordered:
-        key = (event.trace_id, event.activity, event.resource)
-        if event.lifecycle == "start":
-            open_starts[key].append(event)
-        elif event.lifecycle == "end":
-            if open_starts[key]:
-                start = open_starts[key].popleft().timestamp
-                summary.matched_pairs += 1
-            else:
-                start = event.timestamp
-                summary.orphan_ends += 1
-            trace_ids.append(event.trace_id)
-            activities.append(event.activity)
-            starts.append(start)
-            ends.append(event.timestamp)
-            resources.append(event.resource)
-        else:
-            summary.dropped_other_lifecycle += 1
-    summary.dropped_starts = sum(len(q) for q in open_starts.values())
-    return ActivityInstanceLog.from_columns(*columns), summary
+    return _pair(map(attrgetter("trace_id", "activity", "lifecycle", "timestamp",
+                                "resource"), events))
 
 
 def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> ActivityInstanceLog:

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from startrepair import ActivityInstance
+from startrepair import ActivityInstance, Event
 from startrepair.cli import main
 from startrepair.repair import repair_start_times
 
-from .conftest import shipping_csv
+from .conftest import SHIPPING_ROWS, shipping_csv
 
 
 @pytest.fixture
@@ -225,6 +225,29 @@ class TestConfigValues:
         assert_one_line_error(capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings, quoted", [
+        ({"input": 5}, "config key 'input' must be a string, got 5"),
+        ({"bot_resources": ["a", 3]}, 'label lists must hold strings, got ["a", 3]'),
+    ], ids=["text", "labels"])
+    def test_error_quotes_the_value_as_written(self, shipping_file, tmp_path, capsys,
+                                               settings, quoted):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        assert run("repair", "--input", shipping_file, "--output", tmp_path / "out.csv",
+                   "--config", config) == 1
+        assert capsys.readouterr().err == f"startrepair: error: {quoted}\n"
+
+    def test_integer_number_setting_is_read_as_a_float(self, shipping_file, tmp_path,
+                                                       capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"outlier_threshold": 2, "df_threshold": 0}))
+        assert run("repair", "--input", shipping_file, "--output", tmp_path / "out.csv",
+                   "--config", config) == 0
+        echoed = json.loads(capsys.readouterr().out)["config"]
+        assert (echoed["outlier_threshold"], echoed["df_threshold"]) == (2.0, 0.0)
+        assert all(isinstance(echoed[k], float) for k in ("outlier_threshold",
+                                                          "df_threshold"))
+
     def test_label_list_and_boolean_accepted(self, shipping_file, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"bot_resources": ["Leela", "Fry"],
@@ -352,19 +375,28 @@ class TestInputFiles:
 
 
 class TestNoInstanceObjects:
-    """A CLI job on instance-row inputs works on the log's columns and builds
-    no `ActivityInstance`."""
+    """A CLI job works on the log's columns and builds no `ActivityInstance`,
+    and one on event rows pairs them as tuples and builds no `Event`."""
 
     def test_jobs_build_no_instance(self, shipping_file, tmp_path, capsys, monkeypatch):
         built = []
-        check = ActivityInstance.__post_init__
 
-        def counted(instance):
-            built.append(instance)
-            check(instance)
+        def count_builds(cls):
+            check = cls.__post_init__
+
+            def counting(obj):
+                built.append(obj)
+                check(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
 
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 3, "trace_count": 20}))
+        events = tmp_path / "events.csv"
+        events.write_text("case_id,activity,timestamp,lifecycle,resource\n" + "".join(
+            f"{trace},{activity},{start},start,{resource}\n"
+            f"{trace},{activity},{end},end,{resource}\n"
+            for trace, activity, start, end, resource in SHIPPING_ROWS))
+        evented = ("--timestamp-column", "timestamp", "--lifecycle-column", "lifecycle")
         out = tmp_path / "out.csv"
         jobs = [
             ("repair", "--input", shipping_file, "--output", out),
@@ -372,11 +404,15 @@ class TestNoInstanceObjects:
             ("concurrency", "--input", shipping_file),
             ("generate", "--spec", spec, "--out-truth", tmp_path / "t.csv",
              "--out-corrupted", tmp_path / "c.csv"),
+            ("repair", "--input", events, "--output", out, *evented),
+            ("evaluate", "--reference", events, "--other", events, *evented),
+            ("concurrency", "--input", events, *evented),
         ]
-        monkeypatch.setattr(ActivityInstance, "__post_init__", counted)
+        count_builds(ActivityInstance)
+        count_builds(Event)
         for argv in jobs:
             assert run(*argv) == 0, capsys.readouterr().err
-            assert built == [], argv[0]
+            assert built == [], argv
 
 
 class TestCollectorState:

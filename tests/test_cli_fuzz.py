@@ -12,7 +12,11 @@ from datetime import datetime, timedelta
 
 from hypothesis import event, given, settings, strategies as st
 
+from startrepair import (RepairConfig, discover_from_log, parse_event_log,
+                         repair_start_times, to_activity_instances,
+                         write_activity_instance_log)
 from startrepair.cli import main
+from startrepair.model import EVENT_COLUMNS
 
 from .conftest import shipping_csv
 
@@ -132,6 +136,59 @@ def test_any_csv_repairs_or_fails_in_one_line(log, flags):
         if code == 0 and not evented:
             assert_clean_exit(*run_quietly(["evaluate", "--reference", source,
                                             "--other", repaired]))
+
+
+@st.composite
+def event_row_logs(draw) -> str:
+    """Well-formed event rows in shuffled order. Each group of rows shares a
+    key and holds starts, ends and other phases in mixed case, so that pairs,
+    orphan ends, dangling starts and dropped phases all occur; stamps come from
+    a small pool of moments, so that ties are common."""
+    moments = draw(st.lists(_near(datetime(2021, 3, 1), 1), min_size=1, max_size=4))
+    stamps = st.builds(lambda moment, offset: moment.isoformat(sep=" ") + offset,
+                       st.sampled_from(moments), st.sampled_from(["", "Z", "+02:00"]))
+    phases = st.sampled_from(["start", "START", "end", "End", "schedule", "complete"])
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        case, activity, resource = (draw(labels[name])
+                                    for name in ("case_id", "activity", "resource"))
+        rows += [[case, activity, draw(stamps), phase, resource]
+                 for phase in draw(st.lists(phases, min_size=1, max_size=4))]
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(EVENT_HEADER)
+    writer.writerows(draw(st.permutations(rows)))
+    return sink.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_row_logs(), st.sampled_from([
+    ((), RepairConfig()),
+    (("--outlier-threshold", "2", "--bot-resources", "bot", "--instant-activities", "b"),
+     RepairConfig(outlier_threshold=2.0, bot_resources={"bot"}, instant_activities={"b"})),
+]))
+def test_cli_repairs_event_rows_as_the_library_does(text, configured):
+    """`startrepair repair` on event rows writes the bytes and reports the
+    pairing counts of `parse_event_log`, `to_activity_instances`,
+    `repair_start_times` and the writer called in turn."""
+    flags, config = configured
+    log, summary = to_activity_instances(parse_event_log(io.StringIO(text), EVENT_COLUMNS))
+    outcome = repair_start_times(log, discover_from_log(log), config)
+    expected = io.StringIO()
+    write_activity_instance_log(outcome.repaired_log, expected)
+    with tempfile.TemporaryDirectory() as directory:
+        source, repaired, report = (os.path.join(directory, name)
+                                    for name in ("in.csv", "out.csv", "report.json"))
+        with open(source, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        assert run_quietly(["repair", "--input", source, "--output", repaired,
+                            "--report", report, "--timestamp-column", "timestamp",
+                            "--lifecycle-column", "lifecycle", *flags]) == (0, "")
+        with open(repaired, "rb") as handle:
+            assert handle.read() == expected.getvalue().encode()
+        with open(report, encoding="utf-8") as handle:
+            assert json.load(handle)["pairing"] == vars(summary)
+    event(f"{summary.matched_pairs} matched, {summary.orphan_ends} orphan ends")
 
 
 # JSON values with no integer at the top: every one is the wrong type for an
