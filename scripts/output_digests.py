@@ -17,8 +17,10 @@ and ends dropped, `schedule` rows added, some lifecycles upper-cased and each
 run of rows with one timestamp reversed, so that the pairing meets orphan
 ends, dangling starts, other phases and ties out of order. The mixed-offsets
 one reads the log with every other trace's stamps written at UTC+02:00, so
-that a repaired start can take an anchor of another offset. Report paths are
-normalised.
+that a repaired start can take an anchor of another offset. The tied-ends
+one reads that log with every start and end first floored to 30 minutes, so
+that many ends are equal and which of them becomes an anchor shows in the
+offsets written. Report paths are normalised.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ CONFIGURATIONS = (
     ("event-rows", "events", EVENT_FLAGS),
     ("mixed-offsets", "mixed", ()),
     ("event-rows-noisy", "noisy", EVENT_FLAGS),
+    ("tied-ends", "tied", ()),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -115,6 +118,15 @@ def _mixed_offsets(log: ActivityInstanceLog) -> ActivityInstanceLog:
         for i in log.instances)
 
 
+def _floored(log: ActivityInstanceLog) -> ActivityInstanceLog:
+    """The log with every start and end floored to 30 minutes."""
+    def floor(ts):
+        return ts - timedelta(minutes=ts.minute % 30, seconds=ts.second,
+                              microseconds=ts.microsecond)
+    return ActivityInstanceLog(replace(i, start=floor(i.start), end=floor(i.end))
+                               for i in log.instances)
+
+
 def digests(seed: int, traces: int, workdir: str):
     """Yield (configuration, artefact, sha256 hex digest)."""
     spec = GenSpec(seed=seed, trace_count=traces,
@@ -122,9 +134,10 @@ def digests(seed: int, traces: int, workdir: str):
                    resource_count=5, missing_resource_rate=0.1)
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
-             for name in ("truth", "instances", "events", "mixed", "noisy")}
+             for name in ("truth", "instances", "events", "mixed", "noisy", "tied")}
     for name, log in (("truth", truth), ("instances", corrupted),
-                      ("mixed", _mixed_offsets(corrupted))):
+                      ("mixed", _mixed_offsets(corrupted)),
+                      ("tied", _mixed_offsets(_floored(corrupted)))):
         with open(paths[name], "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)
     rows = _event_rows(corrupted)

@@ -61,8 +61,7 @@ def _load_config_file(path: Optional[str], keys) -> dict:
     its digits as a float, as the setting's flag reads it."""
     if path is None:
         return {}
-    with _input_file(path) as handle:
-        data = json.load(handle)
+    data = _json_file(path)
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
     unknown = sorted(set(data) - set(keys))
@@ -128,6 +127,16 @@ def _input_file(path: str):
             raise LogFormatError(f"{path!r}: not UTF-8 text "
                                  f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
                                  ) from None
+
+
+def _json_file(path: str):
+    """The JSON value in `path`; a syntax error or an over-long integer names it."""
+    with _input_file(path) as handle:
+        text = handle.read()  # outside the try: a decode error keeps its message
+        try:
+            return json.loads(text)
+        except ValueError as exc:  # _input_file adds the path
+            raise LogFormatError(str(exc)) from None
 
 
 def _read_log(path: str, mapping: ColumnMapping):
@@ -208,9 +217,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_generate(args: argparse.Namespace) -> int:
-    with _input_file(args.spec) as handle:
-        data = json.load(handle)
-    truth, corrupted = loggen.generate(loggen.GenSpec.from_dict(data))
+    truth, corrupted = loggen.generate(loggen.GenSpec.from_dict(_json_file(args.spec)))
     for path, log in ((args.out_truth, truth), (args.out_corrupted, corrupted)):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)

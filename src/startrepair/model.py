@@ -11,7 +11,6 @@ from operator import attrgetter, itemgetter, le
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
-_end = attrgetter("end")
 _fields = attrgetter("trace_id", "activity", "start", "end", "resource")
 _columns = attrgetter("trace_ids", "activities", "starts", "ends", "resources")
 
@@ -89,6 +88,15 @@ class ActivityInstance:
             )
 
 
+def _by_end(keys: Sequence, ends: Sequence[datetime]) -> dict[object, list[int]]:
+    """Row positions grouped by their value in `keys`, each group sorted by
+    `ends`. The sort is stable, so equal ends keep log order."""
+    groups = defaultdict(list)
+    for row, key in enumerate(keys):
+        groups[key].append(row)
+    return {key: sorted(rows, key=ends.__getitem__) for key, rows in groups.items()}
+
+
 class ActivityInstanceLog:
     """Ordered collection of activity instances, immutable after construction.
 
@@ -96,8 +104,9 @@ class ActivityInstanceLog:
     `ends` and `resources`, however it was built. `instances`, a tuple of
     `ActivityInstance`, is a view built on first use and cached, so a log read
     from CSV and only repaired, written or evaluated never builds an instance.
-    Its per-resource and per-trace indexes, sorted by end time, are also built
-    on first use and cached.
+    On first use the rows are also grouped by resource and by trace, as row
+    positions sorted by end (`_by_end`); `per_resource_index` and
+    `per_trace_index` are views of those groups, built on first use too.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
@@ -126,19 +135,25 @@ class ActivityInstanceLog:
     def instances(self) -> tuple[ActivityInstance, ...]:
         return tuple(map(ActivityInstance, *_columns(self)))
 
-    def _grouped_by_end(self, field: str) -> dict:
-        groups, key = defaultdict(list), attrgetter(field)
-        for inst in self.instances:
-            groups[key(inst)].append(inst)
-        return {k: tuple(sorted(v, key=_end)) for k, v in groups.items()}
+    @cached_property
+    def _resource_groups(self) -> dict[Optional[str], list[int]]:
+        return _by_end(self.resources, self.ends)
+
+    @cached_property
+    def _trace_groups(self) -> dict[str, list[int]]:
+        return _by_end(self.trace_ids, self.ends)
+
+    def _instances_of(self, groups: dict) -> dict:
+        instance = self.instances.__getitem__
+        return {key: tuple(map(instance, rows)) for key, rows in groups.items()}
 
     @cached_property
     def per_resource_index(self) -> dict[Optional[str], tuple[ActivityInstance, ...]]:
-        return self._grouped_by_end("resource")
+        return self._instances_of(self._resource_groups)
 
     @cached_property
     def per_trace_index(self) -> dict[str, tuple[ActivityInstance, ...]]:
-        return self._grouped_by_end("trace_id")
+        return self._instances_of(self._trace_groups)
 
     def __len__(self) -> int:
         return len(self.ends)

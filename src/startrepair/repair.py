@@ -8,13 +8,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
 from math import floor, isfinite
-from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, _end
-
-_end_and_activity = attrgetter("end", "activity")
+from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, _by_end
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -95,21 +92,21 @@ class RepairOutcome:
         )
 
 
-def _last_end_before(group: Sequence, i: int,
+def _last_end_before(log: ActivityInstanceLog, group: Sequence[int], i: int,
                      relation: Optional[ConcurrencyRelation] = None,
-                     activity: Optional[str] = None,
-                     fields: Optional[Callable] = None) -> Optional[datetime]:
-    """The one anchor rule of RAT and ENT: the largest end in the end-sorted
-    `group` before position `i`, skipping entries that `relation` declares
-    concurrent with `activity`. `group` holds `(end, activity)` pairs, or
-    items that `fields` maps to one. `i` is the first position whose end is
-    not before the instance's end, so equal ends never count as before. A
-    walk back past concurrent entries only: O(c) for c of them skipped."""
+                     activity: Optional[str] = None) -> Optional[datetime]:
+    """The one anchor rule of RAT and ENT: the largest end in `group`, row
+    positions of `log` sorted by end, before position `i`, skipping rows whose
+    activity `relation` declares concurrent with `activity`. `i` is the first
+    position whose end is not before the instance's end, so equal ends never
+    count as before; among equal ends the last in log order wins. A walk back
+    past concurrent rows only: O(c) for c of them skipped."""
+    ends, activities = log.ends, log.activities
     while i > 0:
         i -= 1
-        end, other = group[i] if fields is None else fields(group[i])
-        if relation is None or not relation.concurrent(other, activity):
-            return end  # group is end-sorted, first hit is the max
+        row = group[i]
+        if relation is None or not relation.concurrent(activities[row], activity):
+            return ends[row]  # group is end-sorted, first hit is the max
     return None
 
 
@@ -120,9 +117,9 @@ def resource_availability_time(
     before this instance's end; None for the resource's first instance."""
     if instance.resource is None:
         return None
-    group = log.per_resource_index.get(instance.resource, ())
-    return _last_end_before(group, bisect_left(group, instance.end, key=_end),
-                            fields=_end_and_activity)
+    group = log._resource_groups.get(instance.resource, ())
+    return _last_end_before(
+        log, group, bisect_left(group, instance.end, key=log.ends.__getitem__))
 
 
 def enablement_time(
@@ -132,54 +129,30 @@ def enablement_time(
 ) -> Optional[datetime]:
     """Largest end time among same-trace instances ending strictly before this
     instance's end whose activity is not concurrent with it; None when empty."""
-    group = log.per_trace_index.get(instance.trace_id, ())
-    return _last_end_before(group, bisect_left(group, instance.end, key=_end),
-                            relation, instance.activity, _end_and_activity)
+    group = log._trace_groups.get(instance.trace_id, ())
+    return _last_end_before(
+        log, group, bisect_left(group, instance.end, key=log.ends.__getitem__),
+        relation, instance.activity)
 
 
-def _look_back(groups: dict, key, entry: tuple[datetime, str],
-               relation: Optional[ConcurrencyRelation] = None) -> Optional[datetime]:
-    """Add `entry`, the `(end, activity)` of an instance visited in end
-    order, to the group `key` of `groups` and return `_last_end_before` over
-    that group.
-
-    A group is `[entries seen so far, start of their current run of equal
-    ends]`. The seen entries are end-sorted, and the run start is where the
-    lookup begins, so equal ends never count as before and a long run of
-    ties is never rescanned.
-    """
-    state = groups.get(key)
-    if state is None:
-        groups[key] = [[entry], 0]
-        return None
-    seen = state[0]
-    if seen[-1][0] < entry[0]:
-        state[1] = len(seen)
-    seen.append(entry)
-    return _last_end_before(seen, state[1], relation, entry[1])
-
-
-def _end_ordered_anchors(
-    log: ActivityInstanceLog, relation: ConcurrencyRelation,
-) -> tuple[list[Optional[datetime]], list[Optional[datetime]]]:
-    """RAT and ENT of every instance, by position, from one visit of the
-    log's rows in end order: O(n log n) for the sort, then O(1) per instance
-    plus the concurrent instances ENT skips. The sort keeps log order among
-    equal ends, as the log's indexes do, so each anchor is the very object
-    `resource_availability_time` and `enablement_time` return.
-    """
-    ends, resources, trace_ids = log.ends, log.resources, log.trace_ids
-    entries = list(zip(ends, log.activities))
-    rats: list[Optional[datetime]] = [None] * len(ends)
-    ents: list[Optional[datetime]] = [None] * len(ends)
-    by_resource: dict[str, list] = {}
-    by_trace: dict[str, list] = {}
-    for i in sorted(range(len(ends)), key=ends.__getitem__):
-        entry, resource = entries[i], resources[i]
-        if resource is not None:  # an unknown performer has no RAT
-            rats[i] = _look_back(by_resource, resource, entry)
-        ents[i] = _look_back(by_trace, trace_ids[i], entry, relation)
-    return rats, ents
+def _anchors_in_end_order(log: ActivityInstanceLog, groups: dict,
+                          relation: Optional[ConcurrencyRelation] = None
+                          ) -> list[Optional[datetime]]:
+    """The anchor of every row, by position, over `groups` from `_by_end`: each
+    group is walked in end order, and the lookup starts where the current run
+    of equal ends starts, so a run of ties is never rescanned. O(1) per row
+    plus the concurrent rows skipped."""
+    ends, activities = log.ends, log.activities
+    anchors: list[Optional[datetime]] = [None] * len(ends)
+    for key, group in groups.items():
+        if key is None:  # an unknown performer has no RAT; a trace id is never None
+            continue
+        run = 0
+        for j, row in enumerate(group):
+            if ends[group[run]] < ends[row]:
+                run = j
+            anchors[row] = _last_end_before(log, group, run, relation, activities[row])
+    return anchors
 
 
 def _anchors(
@@ -253,7 +226,9 @@ def repair_start_times(
     their recorded start.
     """
     activities, starts, ends = log.activities, log.starts, log.ends
-    rats, ents = _end_ordered_anchors(log, relation)
+    # built for this call only: cached on the log, they would outlive the repair
+    rats = _anchors_in_end_order(log, _by_end(log.resources, ends))
+    ents = _anchors_in_end_order(log, _by_end(log.trace_ids, ends), relation)
     records = [_anchors(activity, resource, end, rat, ent, config)
                for activity, resource, end, rat, ent
                in zip(activities, log.resources, ends, rats, ents)]

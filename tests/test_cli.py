@@ -373,6 +373,32 @@ class TestInputFiles:
                        "(byte 0xff: invalid start byte)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ['{"input": ', '{"seed": ' + "1" * 5000 + "}"],
+                             ids=["syntax", "long-integer"])
+    @pytest.mark.parametrize("kind", ["config", "spec"])
+    def test_json_fault_is_named_in_a_one_line_error(self, shipping_file, tmp_path,
+                                                     capsys, kind, text):
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            pytest.skip("this Python has no limit on integer digits")
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(text)
+        out = tmp_path / "out.csv"
+        argv = {
+            "config": ("repair", "--input", shipping_file, "--output", out,
+                       "--config", bad),
+            "spec": ("generate", "--spec", bad, "--out-truth", out,
+                     "--out-corrupted", tmp_path / "corrupted.csv"),
+        }[kind]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err == f"startrepair: error: {str(bad)!r}: {message}\n"
+        assert not out.exists()
+
 
 class TestNoInstanceObjects:
     """A CLI job works on the log's columns and builds no `ActivityInstance`,

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import operator
+from dataclasses import replace
 from datetime import timedelta
+from datetime import timezone
 
 import pytest
 from hypothesis import given
@@ -28,6 +31,7 @@ from startrepair.repair import (
 
 from .conftest import find, ts
 from .strategies import ACTIVITIES, instance_logs
+from .strategies import TRACES
 
 EMPTY = ConcurrencyRelation()
 
@@ -403,3 +407,80 @@ class TestRepairProperties:
             assert after.start <= after.end
             if record.earliest_start is not None:
                 assert record.earliest_start <= after.end
+
+
+def tie_anchor(log, row, keys, relation=EMPTY):
+    """O(n^2) reference of the tie rule: among the rows that share `row`'s key
+    in `keys` and end strictly before it, not concurrent with it, the end
+    object of the one last in log order among the maximal ends."""
+    ends, activities = log.ends, log.activities
+    earlier = [j for j in range(len(log))
+               if keys[j] == keys[row] and ends[j] < ends[row]
+               and not relation.concurrent(activities[j], activities[row])]
+    if not earlier:
+        return None
+    latest = max(ends[j] for j in earlier)
+    return ends[[j for j in earlier if ends[j] == latest][-1]]
+
+
+class TestTieOrder:
+    """Equal ends can be different objects, and with different offsets, so
+    which one becomes an anchor decides the offset a repaired start is
+    written with: it is always the one last in log order."""
+
+    # a 3 s horizon gives many equal ends; traces in `moved` are written at
+    # UTC+02:00, so a resource's equal ends differ in offset
+    @given(instance_logs(horizon_seconds=3, max_duration_seconds=2, max_size=30),
+           st.frozensets(st.sampled_from(TRACES)),
+           st.lists(st.tuples(st.sampled_from(ACTIVITIES), st.sampled_from(ACTIVITIES))))
+    def test_anchor_is_the_last_of_the_latest_ends(self, log, moved, pairs):
+        plus_two = timezone(timedelta(hours=2))
+        log = ActivityInstanceLog(
+            replace(i, start=i.start.astimezone(plus_two), end=i.end.astimezone(plus_two))
+            if i.trace_id in moved else i
+            for i in log.instances)
+        relation = ConcurrencyRelation(pairs)
+        outcome = repair_start_times(log, relation)
+        for row, (instance, record) in enumerate(zip(log.instances, outcome.per_instance)):
+            rat = None if instance.resource is None else tie_anchor(log, row, log.resources)
+            ent = tie_anchor(log, row, log.trace_ids, relation)
+            assert record.rat is rat and record.ent is ent
+            assert resource_availability_time(instance, log) is rat
+            assert enablement_time(instance, log, relation) is ent
+        for index, keys in ((log.per_resource_index, log.resources),
+                            (log.per_trace_index, log.trace_ids)):
+            assert index.keys() == set(keys)
+            for key, group in index.items():
+                rows = sorted((j for j in range(len(log)) if keys[j] == key),
+                              key=lambda j: (log.ends[j], j))
+                assert len(group) == len(rows)
+                assert all(map(operator.is_, group, map(log.instances.__getitem__, rows)))
+
+
+def columnar_copy(log):
+    """An equal log built from `log`'s columns, with no view built yet."""
+    return ActivityInstanceLog.from_columns(log.trace_ids, log.activities, log.starts,
+                                            log.ends, log.resources)
+
+
+def test_lookups_build_no_instance_view(shipping_log):
+    log = columnar_copy(shipping_log)
+    assert log == shipping_log
+    relation = discover_from_log(shipping_log)
+    for instance in shipping_log.instances:
+        assert resource_availability_time(instance, log) == brute_force_rat(
+            instance, shipping_log)
+        assert enablement_time(instance, log, relation) == brute_force_ent(
+            instance, shipping_log, relation)
+        earliest_start(instance, log, relation)
+    for view in ("instances", "per_resource_index", "per_trace_index"):
+        assert view not in log.__dict__
+
+
+def test_repair_caches_nothing_on_the_log(shipping_log):
+    # groups cached on the log would outlive the repair, through the write
+    log = columnar_copy(shipping_log)
+    relation = discover_from_log(log)
+    cached = dict(log.__dict__)
+    repair_start_times(log, relation, RepairConfig(outlier_threshold=2.0))
+    assert log.__dict__ == cached
