@@ -20,7 +20,10 @@ one reads the log with every other trace's stamps written at UTC+02:00, so
 that a repaired start can take an anchor of another offset. The tied-ends
 one reads that log with every start and end first floored to 30 minutes, so
 that many ends are equal and which of them becomes an anchor shows in the
-offsets written. Report paths are normalised.
+offsets written. The event-rows-merged one reads the event rows with every
+two consecutive traces, in order of first appearance, under the first one's
+case id, so that a pairing key closes and later opens again. Report paths are
+normalised.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ CONFIGURATIONS = (
     ("mixed-offsets", "mixed", ()),
     ("event-rows-noisy", "noisy", EVENT_FLAGS),
     ("tied-ends", "tied", ()),
+    ("event-rows-merged", "merged", EVENT_FLAGS),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -100,6 +104,14 @@ def _noisy(rows: list[tuple]) -> list[tuple]:
             for row in reversed(list(run))]
 
 
+def _merged(rows: list[tuple]) -> list[tuple]:
+    """The event rows with every two consecutive traces, in order of first
+    appearance, under the case id of the first of them."""
+    traces = list(dict.fromkeys(row[0] for row in rows))
+    case_id = {trace: traces[n - n % 2] for n, trace in enumerate(traces)}
+    return [(case_id[trace], *rest) for trace, *rest in rows]
+
+
 def _write_event_rows(rows: list[tuple], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -134,7 +146,8 @@ def digests(seed: int, traces: int, workdir: str):
                    resource_count=5, missing_resource_rate=0.1)
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
-             for name in ("truth", "instances", "events", "mixed", "noisy", "tied")}
+             for name in ("truth", "instances", "events", "mixed", "noisy", "tied",
+                          "merged")}
     for name, log in (("truth", truth), ("instances", corrupted),
                       ("mixed", _mixed_offsets(corrupted)),
                       ("tied", _mixed_offsets(_floored(corrupted)))):
@@ -143,6 +156,7 @@ def digests(seed: int, traces: int, workdir: str):
     rows = _event_rows(corrupted)
     _write_event_rows(rows, paths["events"])
     _write_event_rows(_noisy(rows), paths["noisy"])
+    _write_event_rows(_merged(rows), paths["merged"])
 
     for name, source, flags in CONFIGURATIONS:
         repaired = os.path.join(workdir, f"{name}-repaired.csv")

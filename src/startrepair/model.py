@@ -241,7 +241,9 @@ def _rows(source, mapping: ColumnMapping):
     stripped, and only `resource` may be None. Blank lines are skipped and not
     counted; the header is row 1. A repeated header name resolves to its last
     occurrence. A row may lack unmapped trailing cells but no mapped one, and
-    may not be longer than the header.
+    may not be longer than the header. Equal trace ids, activities and
+    resources are one string object, shared through a memo that lives for
+    this read only, so a log keeps one string per distinct label.
     """
     rows = _csv_records(source)
     header = next(rows, None)
@@ -262,6 +264,7 @@ def _rows(source, mapping: ColumnMapping):
     pick = itemgetter(*columns)
     resource = position.get(mapping.resource)
     width, reach = len(header), max(columns + [resource or 0])
+    share = {}.setdefault
     row_number = 1
     for row in rows:
         if not row:
@@ -274,8 +277,10 @@ def _rows(source, mapping: ColumnMapping):
         cells = tuple(map(str.strip, pick(row)))
         if not all(cells):
             raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
-        yield (row_number, *cells,
-               None if resource is None else row[resource].strip() or None)
+        trace, activity, first_cell, second_cell = cells
+        label = None if resource is None else row[resource].strip() or None
+        yield (row_number, share(trace, trace), share(activity, activity),
+               first_cell, second_cell, label and share(label, label))
 
 
 def _row_timestamp(raw: str, row_number: int) -> datetime:
@@ -312,7 +317,9 @@ def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[Even
 
 def _pair(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, PairingSummary]:
     """Pair `(trace, activity, lifecycle, timestamp, resource)` occurrences
-    into activity instances, as `to_activity_instances` describes."""
+    into activity instances, as `to_activity_instances` describes. A key
+    holds a queue only while it has an open start: the end that takes its
+    last start deletes it, so closed keys cost no memory."""
     ordered = sorted(rows, key=itemgetter(3))
     open_starts: dict[tuple, deque[datetime]] = defaultdict(deque)
     columns = trace_ids, activities, starts, ends, resources = [], [], [], [], []
@@ -322,8 +329,11 @@ def _pair(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, PairingSummary]:
             open_starts[trace, activity, resource].append(stamp)
             opened += 1
         elif lifecycle == "end":
-            waiting = open_starts.get((trace, activity, resource))
+            key = trace, activity, resource
+            waiting = open_starts.get(key)
             starts.append(waiting.popleft() if waiting else stamp)
+            if waiting is not None and not waiting:
+                del open_starts[key]
             trace_ids.append(trace)
             activities.append(activity)
             ends.append(stamp)
@@ -386,7 +396,7 @@ def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     # differently. The log keeps every stamp alive, so no id is reused here.
     end_texts = list(map(format_timestamp, log.ends))
     memo = dict(zip(map(id, log.ends), end_texts))
-    start_texts = [memo.get(id(start)) or format_timestamp(start) for start in log.starts]
+    start_texts = (memo.get(id(start)) or format_timestamp(start) for start in log.starts)
     # the csv module writes a None resource as an empty cell
     writer.writerows(zip(log.trace_ids, log.activities, start_texts, end_texts,
                          log.resources))
