@@ -7,8 +7,9 @@ ground-truth log with timestamp and cycle-time EMD; lower is better. The
 corrupted log itself is scored first as the baseline.
 
 `--seed` takes one seed `N` or a range `A-B`. Each row gives the seed, the
-configuration, both EMDs and the capped share: outlier-capped instances over
-all instances.
+configuration, both EMDs, the capped share (outlier-capped instances over all
+instances), the mean absolute error of the starts against the ground truth's,
+in seconds, and the share of starts exactly recovered.
 """
 from __future__ import annotations
 
@@ -44,16 +45,26 @@ def _seed_range(text: str) -> range:
     return seeds
 
 
+def start_errors(truth, log) -> tuple[float, float]:
+    """The mean absolute error of `log`'s starts against `truth`'s, in seconds,
+    and the share of starts equal to the truth's; the rows are aligned."""
+    errors = [abs((start - true).total_seconds())
+              for start, true in zip(log.starts, truth.starts)]
+    return sum(errors) / len(errors), errors.count(0) / len(errors)
+
+
 def score(spec: GenSpec):
-    """Yield (configuration, EmdReport, capped share), the unrepaired log
-    first as RAW with no capped share."""
+    """Yield (configuration, EmdReport, capped share, start errors), the
+    unrepaired log first as RAW with no capped share."""
     truth, corrupted = generate(spec)
     relation = spec.concurrency_pairs()
-    yield "RAW", evaluate_logs(truth, corrupted), None
+    yield "RAW", evaluate_logs(truth, corrupted), None, start_errors(truth, corrupted)
     for name, config in CONFIGURATIONS:
         outcome = repair_start_times(corrupted, relation, config)
         capped = outcome.rule_counts()[RULE_CAPPED] / len(corrupted)
-        yield name, evaluate_logs(truth, outcome.repaired_log), capped
+        repaired = outcome.repaired_log
+        yield (name, evaluate_logs(truth, repaired), capped,
+               start_errors(truth, repaired))
 
 
 def main() -> None:
@@ -75,12 +86,12 @@ def main() -> None:
         )
 
     print(f"{'seed':>6} {'config':8} {'timestamp EMD':>14} {'cycle-time EMD':>15} "
-          f"{'capped share':>13}")
+          f"{'capped share':>13} {'start MAE s':>12} {'exact share':>12}")
     for seed in args.seed:
-        for name, result, capped in score(spec(seed)):
+        for name, result, capped, (mae, exact) in score(spec(seed)):
             share = "-" if capped is None else f"{capped:.4f}"
             print(f"{seed:6} {name:8} {result.timestamp_emd:14.4f} "
-                  f"{result.cycle_time_emd:15.4f} {share:>13}")
+                  f"{result.cycle_time_emd:15.4f} {share:>13} {mae:12.1f} {exact:12.4f}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ def parse_timestamp(raw: str) -> datetime:
         except ValueError:
             raise LogFormatError(f"unparseable timestamp: {raw!r}") from None
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
+        ts = datetime.combine(ts.date(), ts.time(), timezone.utc)
     return ts
 
 

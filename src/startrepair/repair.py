@@ -7,6 +7,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
+from itertools import compress
 from math import floor, isfinite
 from typing import Optional, Sequence
 
@@ -50,8 +51,8 @@ class RepairConfig:
 class InstanceRepair:
     """Per-instance audit record of the repair decision.
 
-    Bot and instant instances are decided before any lookup, so their `rat`
-    and `ent` are None. `earliest_start` is the estimate after the outlier cap.
+    `earliest_start` is the estimate after the outlier cap. Bot and instant
+    instances have None for `rat` and `ent`, and their end as the estimate.
     """
 
     original_start: datetime
@@ -64,18 +65,18 @@ class InstanceRepair:
 
 @dataclass(frozen=True)
 class RepairOutcome:
-    """The repaired log, with what is needed to explain it.
-
-    `estimates` holds one `(rat, ent, earliest)` per instance and `rules` the
-    rule applied, both tuples in log order; `earliest` is the estimate after
-    the outlier cap. The `InstanceRepair` audit records are built from these
-    on first access to `per_instance`, so a caller that never reads them does
-    not pay for them.
+    """The repaired log, with the decision behind each start as columns in
+    log order: `rats` and `ents` the anchors, `estimates` the earliest start
+    after the outlier cap, and `rules` the rule applied. The `InstanceRepair`
+    audit records are built from these on first access to `per_instance`, so
+    a caller that never reads them does not pay for them.
     """
 
     log: ActivityInstanceLog
     repaired_log: ActivityInstanceLog
-    estimates: tuple[tuple[Optional[datetime], Optional[datetime], Optional[datetime]], ...]
+    rats: tuple[Optional[datetime], ...]
+    ents: tuple[Optional[datetime], ...]
+    estimates: tuple[Optional[datetime], ...]
     rules: tuple[str, ...]
 
     def rule_counts(self) -> dict[str, int]:
@@ -85,11 +86,8 @@ class RepairOutcome:
 
     @cached_property
     def per_instance(self) -> tuple[InstanceRepair, ...]:
-        return tuple(
-            InstanceRepair(before, rat, ent, earliest, after, rule)
-            for before, after, (rat, ent, earliest), rule in zip(
-                self.log.starts, self.repaired_log.starts, self.estimates, self.rules)
-        )
+        return tuple(map(InstanceRepair, self.log.starts, self.rats, self.ents,
+                         self.estimates, self.repaired_log.starts, self.rules))
 
 
 def _last_end_before(log: ActivityInstanceLog, group: Sequence[int], i: int,
@@ -155,27 +153,23 @@ def _anchors_in_end_order(log: ActivityInstanceLog, groups: dict,
     return anchors
 
 
-def _anchors(
-    activity: str,
-    resource: Optional[str],
-    end: datetime,
-    rat: Optional[datetime],
-    ent: Optional[datetime],
-    config: RepairConfig,
-) -> tuple[Optional[datetime], Optional[datetime], Optional[datetime], bool]:
-    """The rule chain for one instance, given its RAT and ENT:
-    (rat, ent, earliest, instant).
+def _bot_or_instant(activity: str, resource: Optional[str],
+                    config: RepairConfig) -> bool:
+    """The bot/instant rule: the instance starts at its end, with no anchors."""
+    return activity in config.instant_activities or (
+        resource is not None and resource in config.bot_resources)
 
-    Bot and instant instances start at their end and drop their anchors. An
-    unknown performer has no RAT: it is treated as a maximum-capacity pool.
-    """
-    if activity in config.instant_activities or (
-        resource is not None and resource in config.bot_resources
-    ):
-        return None, None, end, True
+
+def _earliest(end: datetime, rat: Optional[datetime], ent: Optional[datetime],
+              instant: bool) -> Optional[datetime]:
+    """The earliest-start chain: an instant instance starts at its end;
+    otherwise the later anchor, or the only one present. An unknown performer
+    has no RAT: it is treated as a maximum-capacity pool."""
+    if instant:
+        return end
     if rat is None or ent is None:
-        return rat, ent, ent if rat is None else rat, False
-    return rat, ent, max(rat, ent), False
+        return ent if rat is None else rat
+    return max(rat, ent)
 
 
 def earliest_start(
@@ -186,9 +180,9 @@ def earliest_start(
 ) -> Optional[datetime]:
     """Earliest instant the instance could have started: max of resource
     availability and enablement, with the bot/instant and missing-resource rules."""
-    return _anchors(instance.activity, instance.resource, instance.end,
-                    resource_availability_time(instance, log),
-                    enablement_time(instance, log, relation), config)[2]
+    return _earliest(instance.end, resource_availability_time(instance, log),
+                     enablement_time(instance, log, relation),
+                     _bot_or_instant(instance.activity, instance.resource, config))
 
 
 def typical_repaired_duration(
@@ -222,21 +216,24 @@ def repair_start_times(
     then clamped so starts never move past the recorded start (unless
     `allow_later_start`); RAT and ENT lie strictly before the end and the cap is
     non-negative, so no estimate passes the end. Instances flagged bot/instant
-    keep start = end regardless of clamping; instances with no evidence keep
-    their recorded start.
+    keep start = end regardless of clamping, and their zero durations count in
+    the typical duration; instances with no evidence keep their recorded start.
     """
     activities, starts, ends = log.activities, log.starts, log.ends
+    instants = [_bot_or_instant(activity, resource, config)
+                for activity, resource in zip(activities, log.resources)]
     # built for this call only: cached on the log, they would outlive the repair
     rats = _anchors_in_end_order(log, _by_end(log.resources, ends))
     ents = _anchors_in_end_order(log, _by_end(log.trace_ids, ends), relation)
-    records = [_anchors(activity, resource, end, rat, ent, config)
-               for activity, resource, end, rat, ent
-               in zip(activities, log.resources, ends, rats, ents)]
+    for row in compress(range(len(ends)), instants):
+        rats[row] = ents[row] = None
+    rats, ents = tuple(rats), tuple(ents)
+    estimates = list(map(_earliest, ends, rats, ents, instants))
 
     bounds: dict[str, timedelta] = {}
     if config.outlier_threshold is not None:
         by_activity: dict[str, list[timedelta]] = defaultdict(list)
-        for activity, end, (_, _, earliest, _) in zip(activities, ends, records):
+        for activity, end, earliest in zip(activities, ends, estimates):
             if earliest is not None:
                 by_activity[activity].append(end - earliest)
         for activity, durations in by_activity.items():
@@ -246,9 +243,9 @@ def repair_start_times(
             except OverflowError:
                 pass  # a cap beyond timedelta's range never binds: leave uncapped
 
-    repaired_starts, estimates, rules = [], [], []
-    for activity, start, end, (rat, ent, earliest, instant) in zip(
-            activities, starts, ends, records):
+    repaired_starts, rules = [], []
+    for row, (activity, start, end, earliest, instant) in enumerate(
+            zip(activities, starts, ends, estimates, instants)):
         if instant:
             repaired, rule = end, RULE_BOT_OR_INSTANT
         elif earliest is None:
@@ -257,14 +254,14 @@ def repair_start_times(
             rule = RULE_ESTIMATED
             bound = bounds.get(activity)
             if bound is not None and end - earliest > bound:
-                earliest, rule = end - bound, RULE_CAPPED
+                estimates[row] = earliest = end - bound
+                rule = RULE_CAPPED
             repaired = earliest
             if not config.allow_later_start and repaired > start:
                 repaired, rule = start, RULE_CLAMPED
         repaired_starts.append(repaired)
-        estimates.append((rat, ent, earliest))
         rules.append(rule)
     # only the starts change: the repaired log shares the other four columns
     repaired_log = ActivityInstanceLog.from_columns(
         log.trace_ids, activities, repaired_starts, ends, log.resources)
-    return RepairOutcome(log, repaired_log, tuple(estimates), tuple(rules))
+    return RepairOutcome(log, repaired_log, rats, ents, tuple(estimates), tuple(rules))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import replace
 from datetime import timedelta
 from datetime import timezone
@@ -28,10 +29,12 @@ from startrepair.repair import (
     RULE_NO_EVIDENCE,
     STATISTICS,
 )
+from startrepair.repair import RULE_CAPPED, RULE_ESTIMATED
 
 from .conftest import find, ts
 from .strategies import ACTIVITIES, instance_logs
 from .strategies import TRACES
+from .strategies import RESOURCES
 
 EMPTY = ConcurrencyRelation()
 
@@ -484,3 +487,104 @@ def test_repair_caches_nothing_on_the_log(shipping_log):
     cached = dict(log.__dict__)
     repair_start_times(log, relation, RepairConfig(outlier_threshold=2.0))
     assert log.__dict__ == cached
+
+
+class TestBotDurationsInTheCap:
+    """A bot or instant instance's estimate is its end, so its zero duration
+    counts in its activity's typical duration. Four bot instances against
+    three human ones make the median zero, the 2x cap zero, and so undo the
+    humans' repair."""
+
+    @staticmethod
+    def log():
+        rows = []
+        for k in range(3):  # human `a`, enabled 1 h before its end, recorded 30 min
+            day = ts("2021-03-07 08:00:00") + timedelta(days=k)
+            rows.append(ActivityInstance(f"h{k}", "x", day, day + timedelta(hours=1), f"s{k}"))
+            rows.append(ActivityInstance(f"h{k}", "a", day + timedelta(minutes=90),
+                                         day + timedelta(hours=2), f"r{k}"))
+        for k in range(4):
+            day = ts("2021-03-07 08:00:00") + timedelta(days=k)
+            rows.append(ActivityInstance(f"b{k}", "a", day, day + timedelta(minutes=5), "b"))
+        return ActivityInstanceLog(rows)
+
+    def test_bot_zero_durations_pull_the_cap_to_zero(self):
+        log = self.log()
+        humans = [i for i in range(len(log)) if log.resources[i] in ("r0", "r1", "r2")]
+        config = RepairConfig(outlier_threshold=2.0, bot_resources={"b"})
+        outcome = repair_start_times(log, EMPTY, config)
+        assert outcome.rule_counts()[RULE_CLAMPED] == 3
+        assert outcome.rule_counts()[RULE_BOT_OR_INSTANT] == 4
+        for i in humans:
+            record = outcome.per_instance[i]
+            assert record.rule_applied == RULE_CLAMPED
+            assert record.earliest_start == log.ends[i]  # capped at a zero duration
+            assert log.ends[i] - record.repaired_start == timedelta(minutes=30)
+
+        without_bot = repair_start_times(log, EMPTY, replace(config, bot_resources=frozenset()))
+        for i in humans:
+            record = without_bot.per_instance[i]
+            assert record.rule_applied == RULE_ESTIMATED
+            assert log.ends[i] - record.repaired_start == timedelta(hours=1)
+
+
+class TestDecisionColumns:
+    @given(instance_logs(max_size=12),
+           st.frozensets(st.sampled_from(RESOURCES[:2])),
+           st.frozensets(st.sampled_from(ACTIVITIES)),
+           st.sampled_from([None, 1.5, 2.0, 5.0]),
+           st.sampled_from(STATISTICS),
+           st.booleans())
+    def test_columns_explain_every_start(self, log, bots, instants, threshold,
+                                         statistic, allow_later_start):
+        config = RepairConfig(statistic=statistic, outlier_threshold=threshold,
+                              bot_resources=bots, instant_activities=instants,
+                              allow_later_start=allow_later_start)
+        outcome = repair_start_times(log, discover_from_log(log), config)
+        rats, ents, estimates, rules = (outcome.rats, outcome.ents, outcome.estimates,
+                                        outcome.rules)
+        for column in (rats, ents, estimates, rules):
+            assert isinstance(column, tuple) and len(column) == len(log)
+        starts, ends, repaired = log.starts, log.ends, outcome.repaired_log.starts
+
+        def later_anchor(i):
+            return max((a for a in (rats[i], ents[i]) if a is not None), default=None)
+
+        # each activity's cap, from the uncapped estimates the anchors give
+        caps = {}
+        if threshold is not None:
+            durations = defaultdict(list)
+            for i, activity in enumerate(log.activities):
+                if rules[i] == RULE_BOT_OR_INSTANT:
+                    durations[activity].append(timedelta(0))
+                elif later_anchor(i) is not None:
+                    durations[activity].append(ends[i] - later_anchor(i))
+            caps = {activity: threshold * typical_repaired_duration(d, statistic)
+                    for activity, d in durations.items()}
+
+        for i, record in enumerate(outcome.per_instance):
+            assert (record.original_start, record.rat, record.ent, record.earliest_start,
+                    record.repaired_start, record.rule_applied) == (
+                starts[i], rats[i], ents[i], estimates[i], repaired[i], rules[i])
+            rule, estimate, later = rules[i], estimates[i], later_anchor(i)
+            cap = caps.get(log.activities[i])
+            bot = log.activities[i] in instants or log.resources[i] in bots
+            assert bot == (rule == RULE_BOT_OR_INSTANT)
+            if bot:
+                assert rats[i] is None and ents[i] is None
+                assert estimate is ends[i] and repaired[i] is ends[i]
+            elif rule == RULE_NO_EVIDENCE:
+                assert later is None and estimate is None and repaired[i] is starts[i]
+            elif rule == RULE_ESTIMATED:
+                assert estimate == later
+                assert estimate is rats[i] or estimate is ents[i]
+                assert cap is None or ends[i] - estimate <= cap
+                assert repaired[i] is estimate
+            elif rule == RULE_CAPPED:
+                assert ends[i] - later > cap
+                assert estimate == ends[i] - cap and repaired[i] is estimate
+            else:
+                assert rule == RULE_CLAMPED and not allow_later_start
+                capped = cap is not None and ends[i] - later > cap
+                assert estimate == (ends[i] - cap if capped else later)
+                assert estimate > starts[i] and repaired[i] is starts[i]
