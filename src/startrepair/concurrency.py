@@ -7,8 +7,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import (ActivityInstanceLog, ConfigurationError, LogFormatError, _csv_records,
-                    _text_stream)
+from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, _csv_records
 
 log = logging.getLogger(__name__)
 
@@ -137,9 +136,9 @@ def load_concurrency(source) -> ConcurrencyRelation:
 
 
 def write_concurrency(relation: ConcurrencyRelation, sink) -> None:
-    """Write one lexicographically sorted row per unordered pair."""
-    out = _text_stream(sink, "utf-8")
-    writer = csv.writer(out, lineterminator="\n")
+    """Write one lexicographically sorted row per unordered pair to the text
+    stream `sink`, then flush it; the stream is left open."""
+    writer = csv.writer(sink, lineterminator="\n")
     for a, b in relation.sorted_pairs():
         writer.writerow((a, b))
-    out.flush()
+    sink.flush()

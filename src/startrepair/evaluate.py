@@ -148,13 +148,11 @@ def evaluate_logs(
 ) -> EmdReport:
     """Compare two logs: EMD over shared date-hour timestamp histograms and
     over cycle-time histograms on the reference-defined grid."""
-    if not reference or not other:
-        raise ValueError("cannot discretize an empty log")
+    ct_ref, ct_other = cycle_time_histograms(reference, other)  # rejects an empty log
     shared_origin = min(chain(reference.starts, other.starts)).replace(
         minute=0, second=0, microsecond=0)
     ts_ref = timestamp_histogram(reference, shared_origin)
     ts_other = timestamp_histogram(other, shared_origin)
-    ct_ref, ct_other = cycle_time_histograms(reference, other)
     report = EmdReport(
         timestamp_emd=wasserstein_1d(ts_ref, ts_other),
         cycle_time_emd=wasserstein_1d(ct_ref, ct_other),

@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import csv
-import io
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from operator import attrgetter, itemgetter, le
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
 _fields = attrgetter("trace_id", "activity", "start", "end", "resource")
@@ -211,21 +210,11 @@ class PairingSummary:
     dropped_other_lifecycle: int = 0
 
 
-def _text_stream(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase],
-                 encoding: str = "utf-8-sig") -> TextIO:
-    """Text view of a binary stream. Readers skip a leading UTF-8 byte-order
-    mark, as written by spreadsheet exports; writers pass "utf-8" to emit none."""
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "mode") and "b" in getattr(source, "mode", "")
-    ):
-        return io.TextIOWrapper(source, encoding=encoding, newline="")
-    return source
-
-
 def _csv_records(source):
-    """The csv module's records of `source`. A fault it raises, such as a
-    field over its size limit, becomes a LogFormatError naming the line."""
-    records = csv.reader(_text_stream(source))
+    """The csv module's records of the text stream `source`. A fault it
+    raises, such as a field over its size limit or a binary stream's bytes,
+    becomes a LogFormatError naming the line; the stream is left open."""
+    records = csv.reader(source)
     try:
         yield from records
     except csv.Error as exc:
@@ -375,7 +364,10 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
         start = _row_timestamp(raw_start, row_number)
         end = _row_timestamp(raw_end, row_number)
         if start > end:  # checked per row, so that the first bad row's error wins
-            ActivityInstance(trace, activity, start, end, resource)
+            try:
+                ActivityInstance(trace, activity, start, end, resource)
+            except LogFormatError as exc:
+                raise LogFormatError(f"row {row_number}: {exc}") from None
         trace_ids.append(trace)
         activities.append(activity)
         starts.append(start)
@@ -386,9 +378,9 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
 
 def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     """Write the log as CSV with header `case_id,activity,start_time,end_time,resource`
-    and ISO-8601 timestamps with explicit offset."""
-    out = _text_stream(sink, "utf-8")
-    writer = csv.writer(out, lineterminator="\n")
+    and ISO-8601 timestamps with explicit offset to the text stream `sink`,
+    opened with `newline=""`, then flush it; the stream is left open."""
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(INSTANCE_HEADER)
     # A start that is another instance's end object, as most repaired starts
     # are, reuses that end's text. The memo is keyed by identity, never by
@@ -400,4 +392,4 @@ def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     # the csv module writes a None resource as an empty cell
     writer.writerows(zip(log.trace_ids, log.activities, start_texts, end_texts,
                          log.resources))
-    out.flush()
+    sink.flush()

@@ -247,7 +247,7 @@ def repair_start_times(
     for row, (activity, start, end, earliest, instant) in enumerate(
             zip(activities, starts, ends, estimates, instants)):
         if instant:
-            repaired, rule = end, RULE_BOT_OR_INSTANT
+            repaired, rule = earliest, RULE_BOT_OR_INSTANT
         elif earliest is None:
             repaired, rule = start, RULE_NO_EVIDENCE
         else:

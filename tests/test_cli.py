@@ -473,3 +473,33 @@ class TestCollectorState:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+GENERATE = ("generate", "--spec", "{json}", "--out-truth", "{out}",
+            "--out-corrupted", "{out}")
+
+
+class TestRejectedSettings:
+    """A setting that the program refuses, given by a flag or in a file the CLI
+    reads, ends in one error line and writes no output."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (("repair", "--input", "{log}", "--output", "{out}", "--config", "{json}"),
+         "[1, 2]", "config file must hold a flat JSON object"),
+        (("concurrency",), None, "concurrency needs --input"),
+        (("repair", "--input", "{log}", "--output", "{out}", "--start-column="), None,
+         "mapping needs either start_time+end_time or timestamp+lifecycle columns"),
+        (GENERATE, '{"seed": 1, "trace_count": 2, "delay_range": [10, 5]}',
+         "bad delay_range: (10, 5)"),
+        (GENERATE, '{"seed": 1, "trace_count": 2, "missing_resource_rate": 1.5}',
+         "missing_resource_rate must be in [0, 1]"),
+    ], ids=["config-list", "concurrency-no-input", "empty-start-column",
+            "reversed-delay-range", "missing-resource-rate-above-1"])
+    def test_one_line_error(self, shipping_file, tmp_path, capsys, argv, text, message):
+        paths = {"log": shipping_file, "out": tmp_path / "out.csv",
+                 "json": tmp_path / "settings.json"}
+        if text is not None:
+            paths["json"].write_text(text)
+        assert run(*(part.format(**paths) for part in argv)) == 1
+        assert capsys.readouterr().err == f"startrepair: error: {message}\n"
+        assert not paths["out"].exists()

@@ -130,6 +130,22 @@ class TestCycleTimeHistograms:
         assert list(cycles) == traces
 
 
+class TestRejectedInputs:
+    def test_histogram_needs_a_positive_width(self):
+        with pytest.raises(ValueError, match="bin width must be positive, got 0.0"):
+            Histogram(origin=0.0, bin_width=0.0, masses={0: 1.0})
+
+    def test_histogram_rejects_a_negative_mass(self):
+        with pytest.raises(ValueError, match="negative bin mass"):
+            histogram({0: 1.0, 1: -0.5})
+
+    def test_cycle_time_histograms_reject_an_empty_log(self, shipping_log):
+        empty = ActivityInstanceLog([])
+        for reference, other in ((empty, shipping_log), (shipping_log, empty)):
+            with pytest.raises(ValueError, match="cannot discretize an empty log"):
+                cycle_time_histograms(reference, other)
+
+
 class TestWasserstein:
     def test_single_point_transport(self):
         assert wasserstein_1d(histogram({0: 1}), histogram({5: 1})) == 5.0

@@ -15,14 +15,17 @@ from startrepair import (
     ActivityInstance,
     ActivityInstanceLog,
     ColumnMapping,
+    ConcurrencyRelation,
     ConfigurationError,
     Event,
     LogFormatError,
+    load_concurrency,
     parse_event_log,
     read_instance_log,
     to_activity_instances,
     write_activity_instance_log,
 )
+from startrepair.concurrency import write_concurrency
 from startrepair.model import EVENT_COLUMNS, parse_timestamp
 
 from .conftest import shipping_csv, shipping_instances, ts
@@ -146,6 +149,11 @@ class TestParseEventLog:
         with pytest.raises(ConfigurationError, match="missing"):
             parse_event_log(source, ColumnMapping())
 
+    def test_event_mapping_is_refused_by_the_instance_reader(self):
+        source = io.StringIO("case_id,activity,timestamp,lifecycle,resource\n")
+        with pytest.raises(ConfigurationError, match="needs an instance-per-row mapping"):
+            read_instance_log(source, EVENT_COLUMNS)
+
     def test_event_per_row_mapping(self):
         source = io.StringIO(
             "case_id,activity,timestamp,lifecycle,resource\n"
@@ -163,14 +171,28 @@ class TestParseEventLog:
         events = parse_event_log(source, ColumnMapping())
         assert events[0].resource is None
 
-    def test_bytes_source_accepted(self):
-        source = io.BytesIO(shipping_csv().encode())
-        assert len(parse_event_log(source, ColumnMapping())) == 20
 
-    def test_bytes_source_with_byte_order_mark(self):
-        source = io.BytesIO(b"\xef\xbb\xbf" + shipping_csv().encode())
-        assert parse_event_log(source, ColumnMapping()) == parse_event_log(
-            io.StringIO(shipping_csv()), ColumnMapping())
+class TestStreams:
+    """Readers and writers take text streams and never close them."""
+
+    def test_binary_source_is_one_format_error_and_stays_open(self):
+        readers = (read_instance_log, lambda source: parse_event_log(source, ColumnMapping()),
+                   load_concurrency)
+        for reader in readers:
+            source = io.BytesIO(shipping_csv().encode())
+            with pytest.raises(LogFormatError, match="text mode"):
+                reader(source)
+            assert not source.closed
+
+    def test_text_sink_stays_open_and_holds_the_csv(self, shipping_log):
+        sink = io.StringIO()
+        write_activity_instance_log(shipping_log, sink)
+        assert not sink.closed
+        assert read_instance_log(io.StringIO(sink.getvalue())) == shipping_log
+        sink = io.StringIO()
+        write_concurrency(ConcurrencyRelation([("b", "a"), ("c", "a")]), sink)
+        assert not sink.closed
+        assert sink.getvalue() == "a,b\na,c\n"
 
 
 HEADER = "case_id,activity,start_time,end_time,resource\n"
@@ -419,7 +441,7 @@ class TestColumns:
         # a start after its end in row 2 wins over an unparseable stamp in row 3
         text = (HEADER + "23,Pack,2021-03-07 14:00:00,2021-03-07 13:00:00,Fry\n"
                 + "24,Pack,soon,2021-03-07 13:05:37,Fry\n")
-        with pytest.raises(LogFormatError, match=r"^instance start .* after end .*"
+        with pytest.raises(LogFormatError, match=r"^row 2: instance start .* after end .*"
                                                  r"\(trace 23, activity Pack\)$"):
             read_instance_log(io.StringIO(text))
 

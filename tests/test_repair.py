@@ -195,6 +195,10 @@ class TestTypicalDuration:
     def test_empty_absent(self):
         assert typical_repaired_duration([], "median") is None
 
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown statistic: 'mean'"):
+            typical_repaired_duration(self.seconds([10, 20]), "mean")
+
 
 class TestRepairStartTimes:
     def test_shipping_deliver_package_repaired(self, shipping_log):
