@@ -24,7 +24,6 @@ from .model import (
     ActivityInstanceLog,
     ColumnMapping,
     ConfigurationError,
-    Event,
     LogFormatError,
     PairingSummary,
     parse_event_log,

@@ -20,9 +20,9 @@ from .model import (
     ColumnMapping,
     ConfigurationError,
     LogFormatError,
-    _event_rows,
-    _pair,
+    parse_event_log,
     read_instance_log,
+    to_activity_instances,
     write_activity_instance_log,
 )
 from .repair import STATISTICS, RepairConfig, repair_start_times
@@ -142,7 +142,7 @@ def _json_file(path: str):
 def _read_log(path: str, mapping: ColumnMapping):
     with _input_file(path) as handle:
         if mapping.is_event_per_row:
-            return _pair(_event_rows(handle, mapping))
+            return to_activity_instances(parse_event_log(handle, mapping))
         return read_instance_log(handle, mapping), None
 
 

@@ -40,20 +40,12 @@ class Histogram:
         return sum(self.masses.values())
 
 
-def timestamp_histogram(
-    log: ActivityInstanceLog, origin: Optional[datetime] = None
-) -> Histogram:
-    """Date-hour histogram of all start and end timestamps (2 per instance).
-
-    The origin defaults to the log's earliest timestamp truncated to the hour;
-    pass a shared origin to co-discretize two logs.
-    """
+def timestamp_histogram(log: ActivityInstanceLog, origin: datetime) -> Histogram:
+    """Date-hour histogram of all start and end timestamps (2 per instance),
+    in hour bins counted from `origin`; two logs given one origin are
+    co-discretized."""
     if not log:
         raise ValueError("cannot discretize an empty log")
-    # a start is never after its end, so the first earliest stamp, whose
-    # offset sets the hour boundaries, is a start
-    if origin is None:
-        origin = min(log.starts).replace(minute=0, second=0, microsecond=0)
     counts = Counter((point - origin) // HOUR for point in chain(log.starts, log.ends))
     masses = {index: float(count) for index, count in counts.items()}
     return Histogram(origin.timestamp(), HOUR.total_seconds(), masses)
@@ -149,6 +141,8 @@ def evaluate_logs(
     """Compare two logs: EMD over shared date-hour timestamp histograms and
     over cycle-time histograms on the reference-defined grid."""
     ct_ref, ct_other = cycle_time_histograms(reference, other)  # rejects an empty log
+    # a start is never after its end, so the first earliest stamp, whose
+    # offset sets the hour boundaries, is a start
     shared_origin = min(chain(reference.starts, other.starts)).replace(
         minute=0, second=0, microsecond=0)
     ts_ref = timestamp_histogram(reference, shared_origin)

@@ -45,6 +45,13 @@ def shipping_log() -> ActivityInstanceLog:
     return ActivityInstanceLog(shipping_instances())
 
 
+def resource_buckets(log: ActivityInstanceLog) -> dict:
+    """Per resource, its instances sorted by end, rebuilt from the log's row
+    positions grouped by resource."""
+    instance = log.instances.__getitem__
+    return {key: tuple(map(instance, rows)) for key, rows in log._resource_groups.items()}
+
+
 def find(log: ActivityInstanceLog, trace: str, activity: str) -> ActivityInstance:
     matches = [
         i for i in log.instances if i.trace_id == trace and i.activity == activity

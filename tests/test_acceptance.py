@@ -34,7 +34,7 @@ from startrepair import (
     write_activity_instance_log,
 )
 
-from .conftest import find, shipping_instances, ts
+from .conftest import find, resource_buckets, shipping_instances, ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
 from .test_repair import brute_force_ent, brute_force_rat
 
@@ -131,7 +131,7 @@ def test_criterion_4_ground_truth_recovery():
         truth, corrupted = generate(spec)
         outcome = repair_start_times(corrupted, spec.concurrency_pairs())
         resource_firsts = {
-            id(bucket[0]) for bucket in corrupted.per_resource_index.values()
+            id(bucket[0]) for bucket in resource_buckets(corrupted).values()
         }
         first_stage = set(spec.stages[0])
         for true_inst, record, corrupt_inst, repaired in zip(

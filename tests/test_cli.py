@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from startrepair import ActivityInstance, Event
+from startrepair import ActivityInstance, cli
 from startrepair.cli import main
 from startrepair.repair import repair_start_times
 
@@ -16,6 +16,17 @@ from .conftest import SHIPPING_ROWS, shipping_csv
 def shipping_file(tmp_path):
     path = tmp_path / "shipping.csv"
     path.write_text(shipping_csv())
+    return path
+
+
+@pytest.fixture
+def shipping_events_file(tmp_path):
+    """The shipping log as event rows: a start row and an end row per instance."""
+    path = tmp_path / "events.csv"
+    path.write_text("case_id,activity,timestamp,lifecycle,resource\n" + "".join(
+        f"{trace},{activity},{start},start,{resource}\n"
+        f"{trace},{activity},{end},end,{resource}\n"
+        for trace, activity, start, end, resource in SHIPPING_ROWS))
     return path
 
 
@@ -401,10 +412,12 @@ class TestInputFiles:
 
 
 class TestNoInstanceObjects:
-    """A CLI job works on the log's columns and builds no `ActivityInstance`,
-    and one on event rows pairs them as tuples and builds no `Event`."""
+    """A CLI job works on the log's columns and builds no `ActivityInstance`;
+    one on event rows pairs them as tuples."""
 
-    def test_jobs_build_no_instance(self, shipping_file, tmp_path, capsys, monkeypatch):
+    def test_jobs_build_no_instance(self, shipping_file, shipping_events_file, tmp_path,
+                                    capsys, monkeypatch):
+        events = shipping_events_file
         built = []
 
         def count_builds(cls):
@@ -417,11 +430,6 @@ class TestNoInstanceObjects:
 
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 3, "trace_count": 20}))
-        events = tmp_path / "events.csv"
-        events.write_text("case_id,activity,timestamp,lifecycle,resource\n" + "".join(
-            f"{trace},{activity},{start},start,{resource}\n"
-            f"{trace},{activity},{end},end,{resource}\n"
-            for trace, activity, start, end, resource in SHIPPING_ROWS))
         evented = ("--timestamp-column", "timestamp", "--lifecycle-column", "lifecycle")
         out = tmp_path / "out.csv"
         jobs = [
@@ -435,10 +443,38 @@ class TestNoInstanceObjects:
             ("concurrency", "--input", events, *evented),
         ]
         count_builds(ActivityInstance)
-        count_builds(Event)
         for argv in jobs:
             assert run(*argv) == 0, capsys.readouterr().err
             assert built == [], argv
+
+
+class TestPublicEventPath:
+    """The CLI pairs event rows through the public `parse_event_log` and
+    `to_activity_instances`, looked up by name in `startrepair.cli`, so that
+    rebinding those names there, as a tracer does, sees every call."""
+
+    def test_one_call_each_on_event_rows_and_none_on_instance_rows(
+            self, shipping_file, shipping_events_file, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+
+        counted("parse_event_log")
+        counted("to_activity_instances")
+        out = tmp_path / "out.csv"
+        assert run("repair", "--input", shipping_events_file, "--output", out,
+                   "--timestamp-column", "timestamp",
+                   "--lifecycle-column", "lifecycle") == 0, capsys.readouterr().err
+        assert calls == ["parse_event_log", "to_activity_instances"]
+        calls.clear()
+        assert run("repair", "--input", shipping_file, "--output", out) == 0
+        assert calls == []
 
 
 class TestCollectorState:

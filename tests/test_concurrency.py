@@ -127,6 +127,25 @@ class TestDiscoverConcurrency:
         relation = discover_concurrency(counts, OracleThresholds(0.05, 0.75))
         assert not relation.concurrent("a", "b")  # |9-1|/10 = 0.8 >= 0.75
 
+    def test_imbalance_equal_to_threshold_not_concurrent(self):
+        counts = counts_of({("a", "b"): 3, ("b", "a"): 1})  # |3-1|/4 = 0.5 exactly
+        assert not discover_concurrency(counts, OracleThresholds(0.05, 0.5)).concurrent(
+            "a", "b")
+        assert discover_concurrency(counts, OracleThresholds(0.05, 0.51)).concurrent(
+            "a", "b")
+
+    def test_count_equal_to_floor_survives_noise_filter(self):
+        counts = counts_of({("a", "b"): 2, ("b", "a"): 4})  # floor 0.5 * 4 = 2 exactly
+        assert discover_concurrency(counts, OracleThresholds(0.5, 0.75)).concurrent(
+            "a", "b")
+        assert not discover_concurrency(counts, OracleThresholds(0.51, 0.75)).concurrent(
+            "a", "b")
+        # at df_threshold 1 the floor is the larger count itself, so each
+        # direction of an equal pair sits on it
+        balanced = counts_of({("a", "b"): 2, ("b", "a"): 2})
+        assert discover_concurrency(balanced, OracleThresholds(1.0, 0.75)).concurrent(
+            "a", "b")
+
     def test_df_threshold_filters_noise_direction(self):
         counts = counts_of({("a", "b"): 100, ("b", "a"): 1})
         relation = discover_concurrency(counts, OracleThresholds(0.05, 1.0))

@@ -43,14 +43,14 @@ small_masses = st.dictionaries(
 
 class TestTimestampHistogram:
     def test_shipping_total_mass_is_twenty(self, shipping_log):
-        assert timestamp_histogram(shipping_log).total_mass == 20
+        assert timestamp_histogram(shipping_log, ts("2021-03-07 12:00:00")).total_mass == 20
 
     def test_same_hour_shares_a_bin(self):
         log = ActivityInstanceLog([
             ActivityInstance("1", "a", ts("2022-02-09 10:00:00"),
                              ts("2022-02-09 10:59:59"), "r"),
         ])
-        hist = timestamp_histogram(log)
+        hist = timestamp_histogram(log, ts("2022-02-09 10:00:00"))
         assert hist.masses == {0: 2.0}
 
     def test_hour_boundary_splits_bins(self):
@@ -58,12 +58,12 @@ class TestTimestampHistogram:
             ActivityInstance("1", "a", ts("2022-02-09 10:59:59"),
                              ts("2022-02-09 11:00:00"), "r"),
         ])
-        hist = timestamp_histogram(log)
+        hist = timestamp_histogram(log, ts("2022-02-09 10:00:00"))
         assert hist.masses == {0: 1.0, 1: 1.0}
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            timestamp_histogram(ActivityInstanceLog([]))
+            timestamp_histogram(ActivityInstanceLog([]), ts("2022-02-09 10:00:00"))
 
 
 class TestCycleTimeHistograms:
@@ -228,7 +228,7 @@ class TestNoIndexWork:
         evaluate_logs(shipping_log, other)
         for log in (shipping_log, other):
             assert "per_trace_index" not in log.__dict__
-            assert "per_resource_index" not in log.__dict__
+            assert "_resource_groups" not in log.__dict__
 
 
 class TestTranslationProperty:

@@ -10,23 +10,24 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from startrepair import Event, parse_event_log, read_instance_log, to_activity_instances
-from startrepair.model import EVENT_COLUMNS, INSTANCE_COLUMNS, _event_rows, _pair
+from startrepair import parse_event_log, read_instance_log, to_activity_instances
+from startrepair.model import EVENT_COLUMNS, INSTANCE_COLUMNS
 
 from .strategies import EPOCH
 
 
 @st.composite
 def event_streams(draw):
-    """Events over at most 3 traces, 2 activities and resources {r1, r2, None},
-    with stamps from a small pool so that ties occur. Every stamp is a new
-    object, so that `is` tells which event's stamp an instance took."""
+    """`(trace, activity, lifecycle, timestamp, resource)` events over at most
+    3 traces, 2 activities and resources {r1, r2, None}, with stamps from a
+    small pool so that ties occur. Every stamp is a new object, so that `is`
+    tells which event's stamp an instance took."""
     size = draw(st.integers(min_value=0, max_value=40))
-    return [Event(draw(st.sampled_from(("t1", "t2", "t3"))),
-                  draw(st.sampled_from(("a", "b"))),
-                  draw(st.sampled_from(("start", "end", "schedule"))),
-                  EPOCH + timedelta(minutes=draw(st.integers(0, 6))),
-                  draw(st.sampled_from(("r1", "r2", None))))
+    return [(draw(st.sampled_from(("t1", "t2", "t3"))),
+             draw(st.sampled_from(("a", "b"))),
+             draw(st.sampled_from(("start", "end", "schedule"))),
+             EPOCH + timedelta(minutes=draw(st.integers(0, 6))),
+             draw(st.sampled_from(("r1", "r2", None))))
             for _ in range(size)]
 
 
@@ -36,19 +37,19 @@ def fifo_oracle(events):
     (trace, activity, resource) key, taken from the front."""
     open_starts, rows = {}, []
     matched = orphans = other = 0
-    for event in sorted(events, key=lambda e: e.timestamp):
-        key = (event.trace_id, event.activity, event.resource)
-        if event.lifecycle == "start":
-            open_starts.setdefault(key, []).append(event.timestamp)
-        elif event.lifecycle == "end":
+    for trace, activity, lifecycle, stamp, resource in sorted(events,
+                                                              key=lambda e: e[3]):
+        key = (trace, activity, resource)
+        if lifecycle == "start":
+            open_starts.setdefault(key, []).append(stamp)
+        elif lifecycle == "end":
             if open_starts.get(key):
                 start = open_starts[key].pop(0)
                 matched += 1
             else:
-                start = event.timestamp
+                start = stamp
                 orphans += 1
-            rows.append((event.trace_id, event.activity, start, event.timestamp,
-                         event.resource))
+            rows.append((trace, activity, start, stamp, resource))
         else:
             other += 1
     dropped = sum(len(starts) for starts in open_starts.values())
@@ -76,7 +77,7 @@ def test_pairing_keeps_no_queue_for_a_closed_key():
             for n in range(keys) for step, phase in enumerate(("start", "end"))]
     tracemalloc.start()
     try:
-        log, summary = _pair(rows)
+        log, summary = to_activity_instances(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -116,11 +117,12 @@ def test_equal_labels_are_one_object():
     assert log.resources.count(None) == 2
 
     events = parse_event_log(io.StringIO(EVENT_CSV))
-    assert_labels_shared(*zip(*((e.trace_id, e.activity, e.resource) for e in events)))
-    assert [e.resource for e in events].count(None) == 2
+    assert_labels_shared(*zip(*((trace, activity, resource)
+                                for trace, activity, _, _, resource in events)))
+    assert [resource for *_, resource in events].count(None) == 2
 
     for text, mapping, missing in ((EVENT_CSV, EVENT_COLUMNS, 1),
                                    (INSTANCE_CSV, INSTANCE_COLUMNS, 2)):
-        paired, _ = _pair(_event_rows(io.StringIO(text), mapping))
+        paired, _ = to_activity_instances(parse_event_log(io.StringIO(text), mapping))
         assert_labels_shared(paired.trace_ids, paired.activities, paired.resources)
         assert paired.resources.count(None) == missing

@@ -19,6 +19,8 @@ from startrepair import (
 from startrepair.cli import main
 from startrepair.loggen import SPEC_KEYS
 
+from .conftest import resource_buckets
+
 
 def log_bytes(log) -> bytes:
     sink = io.StringIO()
@@ -87,7 +89,7 @@ class TestGenerate:
 
     def test_no_multitasking_by_default(self):
         truth, _ = generate(GenSpec(seed=2, trace_count=25, resource_count=2))
-        for bucket in truth.per_resource_index.values():
+        for bucket in resource_buckets(truth).values():
             for first, second in zip(bucket, bucket[1:]):
                 assert first.end <= second.start
 

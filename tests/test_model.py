@@ -17,7 +17,6 @@ from startrepair import (
     ColumnMapping,
     ConcurrencyRelation,
     ConfigurationError,
-    Event,
     LogFormatError,
     load_concurrency,
     parse_event_log,
@@ -28,7 +27,7 @@ from startrepair import (
 from startrepair.concurrency import write_concurrency
 from startrepair.model import EVENT_COLUMNS, parse_timestamp
 
-from .conftest import shipping_csv, shipping_instances, ts
+from .conftest import resource_buckets, shipping_csv, shipping_instances, ts
 from .strategies import instance_logs
 
 
@@ -126,10 +125,11 @@ class TestParseEventLog:
             "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry\n"
         )
         events = parse_event_log(source, ColumnMapping())
-        assert [e.lifecycle for e in events] == ["start", "end"]
-        assert events[0].timestamp == ts("2021-03-07 12:59:21")
-        assert events[1].timestamp == ts("2021-03-07 13:05:37")
-        assert all(e.trace_id == "23" and e.resource == "Fry" for e in events)
+        assert [lifecycle for _, _, lifecycle, _, _ in events] == ["start", "end"]
+        assert events[0][3] == ts("2021-03-07 12:59:21")
+        assert events[1][3] == ts("2021-03-07 13:05:37")
+        assert all(trace == "23" and resource == "Fry"
+                   for trace, _, _, _, resource in events)
 
     def test_empty_file_with_header(self):
         source = io.StringIO("case_id,activity,start_time,end_time,resource\n")
@@ -161,15 +161,15 @@ class TestParseEventLog:
             "23,Register Order,2021-03-07 13:05:37,end,Fry\n"
         )
         events = parse_event_log(source, EVENT_COLUMNS)
-        assert [e.lifecycle for e in events] == ["start", "end"]
+        assert [lifecycle for _, _, lifecycle, _, _ in events] == ["start", "end"]
 
     def test_missing_resource_cell_is_none(self):
         source = io.StringIO(
             "case_id,activity,start_time,end_time,resource\n"
             "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,\n"
         )
-        events = parse_event_log(source, ColumnMapping())
-        assert events[0].resource is None
+        (_, _, _, _, resource), _ = parse_event_log(source, ColumnMapping())
+        assert resource is None
 
 
 class TestStreams:
@@ -281,7 +281,7 @@ class TestPairing:
 
     def test_orphan_end_becomes_zero_duration(self):
         log, summary = to_activity_instances(
-            [Event("1", "a", "end", ts("2021-03-07 12:00:00"), "r")]
+            [("1", "a", "end", ts("2021-03-07 12:00:00"), "r")]
         )
         assert len(log) == 1
         assert log.instances[0].start == log.instances[0].end
@@ -289,7 +289,7 @@ class TestPairing:
 
     def test_unmatched_start_dropped_and_counted(self):
         log, summary = to_activity_instances(
-            [Event("1", "a", "start", ts("2021-03-07 12:00:00"), "r")]
+            [("1", "a", "start", ts("2021-03-07 12:00:00"), "r")]
         )
         assert len(log) == 0
         assert summary.dropped_starts == 1
@@ -298,10 +298,10 @@ class TestPairing:
         # two starts then two ends for the same key: first start pairs with
         # first end (FIFO), not with the later one
         events = [
-            Event("1", "a", "start", ts("2021-03-07 12:00:00"), "r"),
-            Event("1", "a", "start", ts("2021-03-07 12:10:00"), "r"),
-            Event("1", "a", "end", ts("2021-03-07 12:20:00"), "r"),
-            Event("1", "a", "end", ts("2021-03-07 12:40:00"), "r"),
+            ("1", "a", "start", ts("2021-03-07 12:00:00"), "r"),
+            ("1", "a", "start", ts("2021-03-07 12:10:00"), "r"),
+            ("1", "a", "end", ts("2021-03-07 12:20:00"), "r"),
+            ("1", "a", "end", ts("2021-03-07 12:40:00"), "r"),
         ]
         log, _ = to_activity_instances(events)
         spans = sorted((i.start, i.end) for i in log.instances)
@@ -312,9 +312,9 @@ class TestPairing:
 
     def test_schedule_lifecycle_dropped_with_count(self):
         events = [
-            Event("1", "a", "schedule", ts("2021-03-07 11:00:00"), "r"),
-            Event("1", "a", "start", ts("2021-03-07 12:00:00"), "r"),
-            Event("1", "a", "end", ts("2021-03-07 12:30:00"), "r"),
+            ("1", "a", "schedule", ts("2021-03-07 11:00:00"), "r"),
+            ("1", "a", "start", ts("2021-03-07 12:00:00"), "r"),
+            ("1", "a", "end", ts("2021-03-07 12:30:00"), "r"),
         ]
         log, summary = to_activity_instances(events)
         assert len(log) == 1
@@ -324,10 +324,10 @@ class TestPairing:
     def test_pairing_conservation(self, log):
         events = []
         for inst in log.instances:
-            events.append(Event(inst.trace_id, inst.activity, "start", inst.start,
-                                inst.resource))
-            events.append(Event(inst.trace_id, inst.activity, "end", inst.end,
-                                inst.resource))
+            events.append((inst.trace_id, inst.activity, "start", inst.start,
+                           inst.resource))
+            events.append((inst.trace_id, inst.activity, "end", inst.end,
+                           inst.resource))
         paired, summary = to_activity_instances(events)
         assert len(paired) == summary.matched_pairs + summary.orphan_ends
         assert summary.matched_pairs + summary.dropped_starts == len(log)
@@ -339,14 +339,15 @@ class TestIndexes:
     def test_indexes_partition_and_are_end_sorted(self, log):
         from itertools import chain
 
-        for index in (log.per_resource_index, log.per_trace_index):
+        by_resource = resource_buckets(log)
+        for index in (by_resource, log.per_trace_index):
             flat = list(chain.from_iterable(index.values()))
             assert sorted(map(id, flat)) == sorted(map(id, log.instances))
             for bucket in index.values():
                 ends = [i.end for i in bucket]
                 assert ends == sorted(ends)
         for inst in log.instances:
-            assert inst in log.per_resource_index[inst.resource]
+            assert inst in by_resource[inst.resource]
             assert inst in log.per_trace_index[inst.trace_id]
 
 
@@ -408,10 +409,10 @@ class TestInvariants:
                              ts("2021-03-07 12:00:00"), None)
 
     def test_empty_labels_rejected(self):
-        with pytest.raises(LogFormatError):
-            Event("", "a", "start", ts("2021-03-07 12:00:00"))
-        with pytest.raises(LogFormatError):
-            Event("1", "", "start", ts("2021-03-07 12:00:00"))
+        with pytest.raises(LogFormatError, match="empty trace id"):
+            ActivityInstance("", "a", ts("2021-03-07 12:00:00"), ts("2021-03-07 12:00:00"))
+        with pytest.raises(LogFormatError, match="empty activity label"):
+            ActivityInstance("1", "", ts("2021-03-07 12:00:00"), ts("2021-03-07 12:00:00"))
 
     def test_replace_on_slotted_instance_still_checks(self):
         instance = ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
@@ -431,7 +432,7 @@ class TestColumns:
         columnar = ActivityInstanceLog.from_columns(*columns(log))
         assert columnar == log
         assert columnar.instances == log.instances
-        assert columnar.per_resource_index == log.per_resource_index
+        assert resource_buckets(columnar) == resource_buckets(log)
         assert columnar.per_trace_index == log.per_trace_index
         sink = io.StringIO()
         write_activity_instance_log(columnar, sink)

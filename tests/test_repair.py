@@ -31,7 +31,7 @@ from startrepair.repair import (
 )
 from startrepair.repair import RULE_CAPPED, RULE_ESTIMATED
 
-from .conftest import find, ts
+from .conftest import find, resource_buckets, ts
 from .strategies import ACTIVITIES, instance_logs
 from .strategies import TRACES
 from .strategies import RESOURCES
@@ -284,6 +284,20 @@ class TestRepairStartTimes:
         assert record.repaired_start == ts("2021-03-07 12:30:00")
         assert record.rule_applied == RULE_CLAMPED
 
+    def test_estimate_equal_to_recorded_start_is_estimated(self):
+        # "b" is recorded to start exactly when the resource finished "a"
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
+                             ts("2021-03-07 13:00:00"), "r"),
+            ActivityInstance("2", "b", ts("2021-03-07 13:00:00"),
+                             ts("2021-03-07 14:00:00"), "r"),
+        ])
+        outcome = repair_start_times(log, EMPTY)
+        assert outcome.estimates[1] == log.starts[1]
+        assert outcome.repaired_log.starts[1] == log.starts[1]
+        assert outcome.rules[1] == RULE_ESTIMATED
+        assert outcome.rule_counts()[RULE_CLAMPED] == 0
+
     def test_allow_later_start_moves_past_recorded(self):
         log = ActivityInstanceLog([
             ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
@@ -309,6 +323,30 @@ class TestRepairStartTimes:
         with pytest.raises(ConfigurationError, match=field):
             RepairConfig(**{field: "R04"})
         assert getattr(RepairConfig(**{field: ["R04"]}), field) == frozenset({"R04"})
+
+
+class TestFirstInTraceLimitation:
+    """A trace's first instance has no ENT, so its RAT alone sets its start:
+    the resource's last end in another trace, which may lie long before this
+    trace began. This pins today's repair, which moves such a start back to
+    that RAT; a rule that bounds a RAT-only estimate must change it on
+    purpose."""
+
+    def test_first_instance_moves_back_to_a_rat_from_another_trace(self):
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-07 08:00:00"),
+                             ts("2021-03-07 09:00:00"), "r"),
+            ActivityInstance("2", "a", ts("2021-03-07 13:00:00"),
+                             ts("2021-03-07 14:00:00"), "r"),
+            ActivityInstance("2", "b", ts("2021-03-07 14:00:00"),
+                             ts("2021-03-07 15:00:00"), "s"),
+        ])
+        outcome = repair_start_times(log, EMPTY)
+        assert outcome.ents[1] is None
+        assert outcome.rats[1] == ts("2021-03-07 09:00:00")
+        assert outcome.rules[1] == RULE_ESTIMATED
+        assert outcome.repaired_log.starts[1] == ts("2021-03-07 09:00:00")
+        assert log.starts[1] - outcome.repaired_log.starts[1] == timedelta(hours=4)
 
 
 class TestRepairProperties:
@@ -393,7 +431,7 @@ class TestRepairProperties:
 
     def test_repair_builds_no_resource_index(self, shipping_log):
         repair_start_times(shipping_log, discover_from_log(shipping_log))
-        assert "per_resource_index" not in shipping_log.__dict__
+        assert "_resource_groups" not in shipping_log.__dict__
 
     @given(instance_logs(max_size=12))
     def test_rule_counts_sum_to_instances(self, log):
@@ -454,7 +492,7 @@ class TestTieOrder:
             assert record.rat is rat and record.ent is ent
             assert resource_availability_time(instance, log) is rat
             assert enablement_time(instance, log, relation) is ent
-        for index, keys in ((log.per_resource_index, log.resources),
+        for index, keys in ((resource_buckets(log), log.resources),
                             (log.per_trace_index, log.trace_ids)):
             assert index.keys() == set(keys)
             for key, group in index.items():
@@ -480,7 +518,7 @@ def test_lookups_build_no_instance_view(shipping_log):
         assert enablement_time(instance, log, relation) == brute_force_ent(
             instance, shipping_log, relation)
         earliest_start(instance, log, relation)
-    for view in ("instances", "per_resource_index", "per_trace_index"):
+    for view in ("instances", "per_trace_index"):
         assert view not in log.__dict__
 
 
