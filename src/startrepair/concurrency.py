@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, _csv_records
+from .model import ActivityInstanceLog, ConfigurationError, LogFormatError
 
 log = logging.getLogger(__name__)
 
@@ -117,21 +117,28 @@ def load_concurrency(source) -> ConcurrencyRelation:
 
     The result is symmetrized and reflexive rows are dropped with a warning.
     """
+    records = csv.reader(source)
     pairs = []
-    for line_number, row in enumerate(_csv_records(source), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise LogFormatError(
-                f"line {line_number}: expected two activity labels, got {len(row)} fields"
-            )
-        a, b = row[0].strip(), row[1].strip()
-        if not a or not b:
-            raise LogFormatError(f"line {line_number}: empty activity label")
-        if a == b:
-            log.warning("line %d: reflexive pair (%s, %s) dropped", line_number, a, b)
-            continue
-        pairs.append((a, b))
+    try:
+        for row in records:
+            # the reader's line count, so a quoted label spanning lines does
+            # not shift the lines named after it
+            line_number = records.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise LogFormatError(
+                    f"line {line_number}: expected two activity labels, got {len(row)} fields"
+                )
+            a, b = row[0].strip(), row[1].strip()
+            if not a or not b:
+                raise LogFormatError(f"line {line_number}: empty activity label")
+            if a == b:
+                log.warning("line %d: reflexive pair (%s, %s) dropped", line_number, a, b)
+                continue
+            pairs.append((a, b))
+    except csv.Error as exc:
+        raise LogFormatError(f"line {records.line_num}: {exc}") from None
     return ConcurrencyRelation(pairs)
 
 

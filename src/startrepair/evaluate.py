@@ -6,8 +6,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain
+from itertools import chain, repeat
 from math import floor
+from operator import sub
 from typing import Mapping, Optional
 
 from .model import ActivityInstanceLog
@@ -46,7 +47,9 @@ def timestamp_histogram(log: ActivityInstanceLog, origin: datetime) -> Histogram
     co-discretized."""
     if not log:
         raise ValueError("cannot discretize an empty log")
-    counts = Counter((point - origin) // HOUR for point in chain(log.starts, log.ends))
+    # == (point - origin) // HOUR: a timedelta has 0 <= seconds < 86400, even negative
+    counts = Counter(delta.days * 24 + delta.seconds // 3600
+                     for delta in map(sub, chain(log.starts, log.ends), repeat(origin)))
     masses = {index: float(count) for index, count in counts.items()}
     return Histogram(origin.timestamp(), HOUR.total_seconds(), masses)
 

@@ -6,6 +6,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Iterable, Optional, Sequence
 
@@ -187,34 +188,74 @@ class PairingSummary:
     dropped_other_lifecycle: int = 0
 
 
-def _csv_records(source):
-    """The csv module's records of the text stream `source`. A fault it
-    raises, such as a field over its size limit or a binary stream's bytes,
-    becomes a LogFormatError naming the line; the stream is left open."""
-    records = csv.reader(source)
+_CHUNK = 512  # records decoded per bulk step, which bounds a read's transient memory
+_UTC = {None: timezone.utc}.get  # a stamp's zone, with parse_timestamp's UTC for none
+
+
+def _stamps(cells: Sequence[str]) -> list[datetime]:
+    """`parse_timestamp` over a column of cells, in bulk. A naive stamp gets
+    UTC by the same `datetime.combine` rule, and an aware one keeps its zone,
+    so offset-free columns stay on the bulk path. Only a column with a cell
+    that `fromisoformat` rejects goes through `parse_timestamp` cell by cell,
+    which raises LogFormatError for an unparseable one."""
     try:
-        yield from records
-    except csv.Error as exc:
-        raise LogFormatError(f"line {records.line_num}: {exc}") from None
+        stamps = list(map(datetime.fromisoformat, cells))
+    except ValueError:
+        return list(map(parse_timestamp, cells))
+    zones = list(map(attrgetter("tzinfo"), stamps))
+    if None in zones:
+        stamps = list(map(datetime.combine, map(datetime.date, stamps),
+                          map(datetime.time, stamps), map(_UTC, zones, zones)))
+    return stamps
 
 
-def _rows(source, mapping: ColumnMapping):
-    """Decode the CSV rows of `source` under `mapping`.
+def _record_chunks(source):
+    """The csv records of the text stream `source`, in lists of at most
+    `_CHUNK`. A fault the csv module raises, such as a field over its size
+    limit or a binary stream's bytes, becomes a LogFormatError naming the
+    line. It is raised after the list of the records read before it, so that
+    a bad row among those still reports first. The stream is left open."""
+    records = csv.reader(source)
+    full = True
+    while full:
+        chunk, fault = [], None
+        try:
+            chunk.extend(islice(records, _CHUNK))  # keeps what it read before a fault
+        except csv.Error as exc:
+            fault = LogFormatError(f"line {records.line_num}: {exc}")
+        full = len(chunk) == _CHUNK
+        if chunk:
+            yield chunk
+        if fault is not None:
+            raise fault
 
-    Yields `(row_number, trace, activity, first, second, resource)` per data
-    row, where `first` and `second` are the start and end cells, or the
-    timestamp and lifecycle cells of an event-per-row mapping. Cells are
-    stripped, and only `resource` may be None. Blank lines are skipped and not
+
+def _decoded(source, mapping: ColumnMapping, ordered: bool = False):
+    """Decode the CSV rows of `source` under `mapping`, one chunk of at most
+    `_CHUNK` records at a time.
+
+    Yields per chunk the columns `(traces, activities, firsts, seconds,
+    resources)` of its data rows. `firsts` and `seconds` are the start and end
+    stamps, or the event stamps and the lifecycle cells of an event-per-row
+    mapping; with `ordered`, a start after its end is an error. Cells are
+    stripped, and only a resource may be None. Blank lines are skipped and not
     counted; the header is row 1. A repeated header name resolves to its last
     occurrence. A row may lack unmapped trailing cells but no mapped one, and
     may not be longer than the header. Equal trace ids, activities and
     resources are one string object, shared through a memo that lives for
     this read only, so a log keeps one string per distinct label.
+
+    A chunk is checked and converted a column at a time, by C-level calls, so
+    no row of valid input runs code of its own. When a check fails, the
+    chunk's rows are checked again one by one, in row order, and the first bad
+    row raises its error; only bad input pays for that walk. The records of at
+    most two chunks, the one decoded and the one read next, are alive at once.
     """
-    rows = _csv_records(source)
-    header = next(rows, None)
-    if header is None:
+    chunks = _record_chunks(source)
+    records = next(chunks, None)
+    if records is None:
         raise LogFormatError("input has no header row")
+    header = records.pop(0)
     if mapping.is_event_per_row:
         first, second = mapping.timestamp, mapping.lifecycle
         what = ("trace id", "activity", "timestamp", "lifecycle")
@@ -227,26 +268,57 @@ def _rows(source, mapping: ColumnMapping):
         raise ConfigurationError(f"mapped columns missing from header: {missing}")
     position = {name: i for i, name in enumerate(header)}
     columns = [position[c] for c in required]
-    pick = itemgetter(*columns)
     resource = position.get(mapping.resource)
+    pick = itemgetter(*columns) if resource is None else itemgetter(*columns, resource)
     width, reach = len(header), max(columns + [resource or 0])
-    share = {}.setdefault
-    row_number = 1
-    for row in rows:
-        if not row:
-            continue
-        row_number += 1
-        if len(row) > width:
-            raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
-        if len(row) <= reach:
-            raise LogFormatError(f"row {row_number}: malformed CSV row (missing fields)")
-        cells = tuple(map(str.strip, pick(row)))
-        if not all(cells):
-            raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
-        trace, activity, first_cell, second_cell = cells
-        label = None if resource is None else row[resource].strip() or None
-        yield (row_number, share(trace, trace), share(activity, activity),
-               first_cell, second_cell, label and share(label, label))
+    stamped = (2,) if mapping.is_event_per_row else (2, 3)
+    share = {"": None}.setdefault  # an empty resource cell is None
+
+    def raise_first_fault(rows, row_number):
+        for row_number, row in enumerate(rows, row_number):
+            if len(row) > width:
+                raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
+            if len(row) <= reach:
+                raise LogFormatError(f"row {row_number}: malformed CSV row (missing fields)")
+            cells = tuple(map(str.strip, pick(row)))
+            if not all(cells[:4]):
+                raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
+            stamps = [_row_timestamp(cells[i], row_number) for i in stamped]
+            if ordered and stamps[0] > stamps[1]:
+                try:
+                    ActivityInstance(cells[0], cells[1], *stamps)
+                except LogFormatError as exc:
+                    raise LogFormatError(f"row {row_number}: {exc}") from None
+
+    def bulk(rows):
+        widths = set(map(len, rows))
+        if max(widths) > width or min(widths) <= reach:
+            return None
+        cells = [tuple(map(str.strip, column)) for column in zip(*map(pick, rows))]
+        if not all(map(all, cells[:4])):
+            return None
+        try:
+            stamps = [_stamps(cells[i]) for i in stamped]
+        except LogFormatError:
+            return None
+        if ordered and not all(map(le, *stamps)):
+            return None
+        traces, activities = (list(map(share, column, column)) for column in cells[:2])
+        resources = (list(map(share, cells[4], cells[4])) if resource is not None
+                     else [None] * len(rows))
+        seconds = stamps[1] if len(stamps) == 2 else cells[3]
+        return traces, activities, stamps[0], seconds, resources
+
+    row_number = 2  # of the chunk's first data row
+    while records is not None:
+        rows = list(filter(None, records))  # a blank line is an empty record
+        if rows:
+            decoded = bulk(rows)
+            if decoded is None:
+                raise_first_fault(rows, row_number)
+            row_number += len(rows)
+            yield decoded
+        records = next(chunks, None)
 
 
 def _row_timestamp(raw: str, row_number: int) -> datetime:
@@ -263,14 +335,20 @@ def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[tupl
     `mapping`, as `(trace, activity, lifecycle, timestamp, resource)` tuples:
     one per event row, with its lifecycle lower-cased, or a start and an end
     per instance row. Row numbers in error messages count the header as row 1.
+
+    Rows are decoded in chunks of a few hundred, a column at a time; only a
+    chunk holding a bad row is walked row by row, to name the first one.
     """
-    rows = _rows(source, mapping)
-    if mapping.is_event_per_row:
-        return [(trace, activity, lifecycle.lower(), _row_timestamp(raw, n), resource)
-                for n, trace, activity, raw, lifecycle, resource in rows]
-    return [(trace, activity, phase, _row_timestamp(raw, n), resource)
-            for n, trace, activity, raw_start, raw_end, resource in rows
-            for phase, raw in (("start", raw_start), ("end", raw_end))]
+    events = []
+    for traces, activities, firsts, seconds, resources in _decoded(source, mapping):
+        if mapping.is_event_per_row:
+            events.extend(zip(traces, activities, map(str.lower, seconds), firsts,
+                              resources))
+        else:
+            events.extend(chain.from_iterable(zip(
+                zip(traces, activities, repeat("start"), firsts, resources),
+                zip(traces, activities, repeat("end"), seconds, resources))))
+    return events
 
 
 def to_activity_instances(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, PairingSummary]:
@@ -316,24 +394,20 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
     Unlike `parse_event_log` + `to_activity_instances`, this never re-pairs
     rows, so write -> read round trips are exact even when same-key instances
     overlap in time.
+
+    Rows are decoded in chunks of a few hundred, each checked and converted a
+    column at a time, so the read's transient memory is one chunk's records
+    and cells, however long the log. Only a chunk that fails a check is walked
+    row by row, so that the first bad row's error, with its row number, wins.
     """
     if mapping.is_event_per_row:
         raise ConfigurationError("read_instance_log needs an instance-per-row mapping")
-    columns = trace_ids, activities, starts, ends, resources = [], [], [], [], []
-    rows = _rows(source, mapping)
-    for row_number, trace, activity, raw_start, raw_end, resource in rows:
-        start = _row_timestamp(raw_start, row_number)
-        end = _row_timestamp(raw_end, row_number)
-        if start > end:  # checked per row, so that the first bad row's error wins
-            try:
-                ActivityInstance(trace, activity, start, end, resource)
-            except LogFormatError as exc:
-                raise LogFormatError(f"row {row_number}: {exc}") from None
-        trace_ids.append(trace)
-        activities.append(activity)
-        starts.append(start)
-        ends.append(end)
-        resources.append(resource)
+    columns = [[], [], [], [], []]
+    for chunk in _decoded(source, mapping, ordered=True):
+        for column, part in zip(columns, chunk):
+            column.extend(part)
+    for i in range(len(columns)):  # free each list as its tuple is made
+        columns[i] = tuple(columns[i])
     return ActivityInstanceLog.from_columns(*columns)
 
 

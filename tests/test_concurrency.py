@@ -183,6 +183,11 @@ class TestLoadConcurrency:
         with pytest.raises(LogFormatError, match="line 2"):
             load_concurrency(io.StringIO("A,B\nA,B,C\n"))
 
+    def test_lines_after_a_label_spanning_two_lines_keep_their_number(self):
+        with pytest.raises(LogFormatError) as error:
+            load_concurrency(io.StringIO('a,"b\nc"\nx,x,x\n'))
+        assert str(error.value) == "line 3: expected two activity labels, got 3 fields"
+
     def test_round_trip_through_writer(self):
         relation = load_concurrency(io.StringIO("B,A\nC,A\n"))
         sink = io.StringIO()

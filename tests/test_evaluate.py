@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from datetime import timedelta
+from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from startrepair import (
     timestamp_histogram,
     wasserstein_1d,
 )
-from startrepair.evaluate import trace_cycle_times
+from startrepair.evaluate import HOUR, trace_cycle_times
 
 from .conftest import ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
@@ -32,6 +33,17 @@ def shifted(log: ActivityInstanceLog, delta: timedelta) -> ActivityInstanceLog:
         for i in log.instances
     )
 
+
+zones = st.builds(lambda minutes: timezone(timedelta(minutes=minutes)),
+                  st.integers(min_value=-14 * 60, max_value=14 * 60))
+stamps = st.builds(lambda moment, zone: moment.replace(tzinfo=zone),
+                   st.datetimes(min_value=datetime(2020, 1, 1),
+                                max_value=datetime(2022, 12, 31)), zones)
+near_hours = st.builds(
+    lambda hours, microseconds: timedelta(hours=hours, microseconds=microseconds),
+    st.integers(min_value=-2000, max_value=2000),
+    st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+              st.integers(min_value=-3600 * 10**6, max_value=3600 * 10**6)))
 
 small_masses = st.dictionaries(
     st.integers(min_value=0, max_value=5),
@@ -64,6 +76,20 @@ class TestTimestampHistogram:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             timestamp_histogram(ActivityInstanceLog([]), ts("2022-02-09 10:00:00"))
+
+    @given(stamps, st.lists(st.tuples(near_hours, near_hours, zones), min_size=1,
+                            max_size=20))
+    def test_bins_equal_floored_hours_from_the_origin(self, origin, offsets):
+        # points either side of the origin, within a second of an hour
+        # boundary or anywhere, written at mixed offsets
+        points = [(origin + first).astimezone(zone) for first, _, zone in offsets]
+        ends = [(origin + max(first, second)).astimezone(zone)
+                for first, second, zone in offsets]
+        log = ActivityInstanceLog.from_columns(
+            ["t"] * len(points), ["a"] * len(points), points, ends, [None] * len(points))
+        expected = Counter((point - origin) // HOUR for point in (*points, *ends))
+        assert timestamp_histogram(log, origin).masses == {
+            index: float(count) for index, count in expected.items()}
 
 
 class TestCycleTimeHistograms:

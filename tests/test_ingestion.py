@@ -1,17 +1,21 @@
-"""Ingestion: start/end pairing against an independent FIFO oracle, and the
-memory the readers and the pairing keep."""
+"""Ingestion: start/end pairing against an independent FIFO oracle, chunked
+row decoding against a per-row oracle, and the memory the readers and the
+pairing keep."""
 from __future__ import annotations
 
+import csv
 import io
 import tracemalloc
 from datetime import timedelta
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from startrepair import parse_event_log, read_instance_log, to_activity_instances
-from startrepair.model import EVENT_COLUMNS, INSTANCE_COLUMNS
+from startrepair import (LogFormatError, model, parse_event_log, read_instance_log,
+                         to_activity_instances)
+from startrepair.model import EVENT_COLUMNS, INSTANCE_COLUMNS, _columns, parse_timestamp
 
 from .strategies import EPOCH
 
@@ -85,6 +89,34 @@ def test_pairing_keeps_no_queue_for_a_closed_key():
     assert peak / len(rows) < 200
 
 
+def transient_read_memory(rows: int) -> int:
+    """Peak minus retained traced bytes of one `read_instance_log` of `rows`
+    instance rows: what the read holds only while it runs."""
+    lines = [f"t{n % 97},a{n % 7},2021-03-01 08:00:{n % 60:02},"
+             f"2021-03-01 11:00:{n % 60:02}+02:00,r{n % 5}" for n in range(rows)]
+    source = io.StringIO("\n".join(["case_id,activity,start_time,end_time,resource",
+                                    *lines]) + "\n")
+    tracemalloc.start()
+    try:
+        log = read_instance_log(source)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == rows
+    return peak - retained
+
+
+def test_read_memory_is_bounded_by_the_chunk():
+    # 2 and 8 chunks of 512 records. A chunk's records and cells are freed
+    # once the next chunk is decoded, so 4x the rows must not mean 4x the
+    # transient memory, as it does for a decoder that reads everything at
+    # once. The 25% slack covers the over-allocation of the growing columns
+    # and the one column list a tuple is copied from, about 2 bytes a row.
+    small = transient_read_memory(1024)
+    large = transient_read_memory(4096)
+    assert large < 1.25 * small, (small, large)
+
+
 EVENT_CSV = """case_id,activity,timestamp,lifecycle,resource
 T01,Pack,2021-03-01 08:00:00,start,R01
 T02,Pack,2021-03-01 08:05:00,start,
@@ -126,3 +158,136 @@ def test_equal_labels_are_one_object():
         paired, _ = to_activity_instances(parse_event_log(io.StringIO(text), mapping))
         assert_labels_shared(paired.trace_ids, paired.activities, paired.resources)
         assert paired.resources.count(None) == missing
+
+
+def test_equal_labels_are_one_object_across_chunks(monkeypatch):
+    # at 2 records a chunk, every label recurs in a later chunk than its first
+    monkeypatch.setattr(model, "_CHUNK", 2)
+    test_equal_labels_are_one_object()
+
+
+# Chunked decoding against a per-row oracle. The header has a trailing
+# unmapped `note` column, so a row may be five or six cells long.
+CELLS = {
+    "trace": ("t1", " t1", "t2", "r1"),  # `r1` is also a resource label
+    "activity": ("a", "b ", "t2"),
+    "stamp": ("2021-03-01 08:00:00", "2021-03-01T09:30:00.250000+02:00",
+              " 2021-03-01 10:00:00+00:00", "2021-03-01T12:00:00Z",
+              "2021-03-01 12:00:00z"),  # `fromisoformat` rejects the last
+    "lifecycle": ("start", "END", " complete", "Start "),
+    "resource": ("r1", "r2", "", " ", "t1"),
+}
+FAULTS = ("empty", "bad stamp", "short", "long", "csv", "reversed")
+
+
+@st.composite
+def chunked_csv(draw, events: bool):
+    """A CSV text of valid rows and blank lines, with up to two faulty rows
+    inserted anywhere."""
+    second = "lifecycle" if events else "stamp"
+
+    def row():
+        cells = [draw(st.sampled_from(CELLS[kind]))
+                 for kind in ("trace", "activity", "stamp", second, "resource")]
+        return cells + draw(st.sampled_from(([], ["n"])))
+
+    lines = [row() if draw(st.integers(0, 3)) else []
+             for _ in range(draw(st.integers(0, 24)))]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        cells = row()
+        if fault == "empty":
+            cells[draw(st.integers(0, 3))] = draw(st.sampled_from(("", " ")))
+        elif fault == "bad stamp":
+            cells[2] = "soon"
+        elif fault == "short":
+            cells = cells[:draw(st.integers(1, 4))]
+        elif fault == "long":
+            cells += ["x"] * (7 - len(cells))
+        elif fault == "csv":
+            cells[1] = "a\rb"
+        elif not events:  # reversed: a start after its end
+            cells[2:4] = "2021-03-02 00:00:00", "2021-03-01 00:00:00"
+        lines.insert(draw(st.integers(0, len(lines))), cells)
+    header = ("case_id,activity,timestamp,lifecycle,resource,note" if events
+              else "case_id,activity,start_time,end_time,resource,note")
+    return "\n".join([header, *map(",".join, lines)]) + "\n"
+
+
+def per_row_oracle(text: str, events: bool, ordered: bool):
+    """The rows `(trace, activity, first, second, resource)` read one at a
+    time with the per-row rules, or the first bad row's error text."""
+    what = (("trace id", "activity", "timestamp", "lifecycle") if events
+            else ("trace id", "activity", "start time", "end time"))
+    records = csv.reader(io.StringIO(text))
+    memo, rows, number = {}, [], 1
+    try:
+        next(records)
+        for record in records:
+            if not record:
+                continue
+            number += 1
+            if len(record) > 6:
+                raise LogFormatError(f"row {number}: malformed CSV row (extra fields)")
+            if len(record) < 5:
+                raise LogFormatError(f"row {number}: malformed CSV row (missing fields)")
+            cells = [cell.strip() for cell in record[:5]]
+            for name, cell in zip(what, cells):
+                if not cell:
+                    raise LogFormatError(f"row {number}: empty {name}")
+            for i in ((2,) if events else (2, 3)):
+                try:
+                    cells[i] = parse_timestamp(cells[i])
+                except LogFormatError:
+                    raise LogFormatError(
+                        f"row {number}: unparseable timestamp {cells[i]!r}") from None
+            trace, activity, first, second, resource = cells
+            if ordered and first > second:
+                raise LogFormatError(f"row {number}: instance start {first} after end "
+                                     f"{second} (trace {trace}, activity {activity})")
+            rows.append((memo.setdefault(trace, trace),
+                         memo.setdefault(activity, activity), first, second,
+                         memo.setdefault(resource, resource) if resource else None))
+    except csv.Error as exc:
+        return f"line {records.line_num}: {exc}"
+    except LogFormatError as exc:
+        return str(exc)
+    return rows
+
+
+def outcome(read):
+    try:
+        return read()
+    except LogFormatError as exc:
+        return str(exc)
+
+
+def assert_one_object_per_label(rows):
+    labels = [label for row in rows for label in (row[0], row[1], row[-1])
+              if label is not None]
+    assert len(set(map(id, labels))) == len(set(labels))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from((3, 4)), st.booleans())
+def test_chunked_reading_matches_the_per_row_oracle(data, chunk, events):
+    text = data.draw(chunked_csv(events))
+    mapping = EVENT_COLUMNS if events else INSTANCE_COLUMNS
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_CHUNK", chunk)
+        parsed = outcome(lambda: parse_event_log(io.StringIO(text), mapping))
+        read = None if events else outcome(
+            lambda: list(zip(*_columns(read_instance_log(io.StringIO(text))))))
+    expected = per_row_oracle(text, events, ordered=False)
+    if not isinstance(expected, str):
+        expected = ([(trace, activity, second.lower(), first, resource)
+                     for trace, activity, first, second, resource in expected] if events
+                    else [(trace, activity, phase, stamp, resource)
+                          for trace, activity, start, end, resource in expected
+                          for phase, stamp in (("start", start), ("end", end))])
+        assert_one_object_per_label(parsed)
+    assert repr(parsed) == repr(expected)
+    if not events:
+        expected = per_row_oracle(text, events, ordered=True)
+        if not isinstance(expected, str):
+            assert_one_object_per_label(read)
+        assert repr(read) == repr(expected)
