@@ -94,14 +94,14 @@ def _given(resolved: dict, *keys: str) -> dict:
 
 
 def _label_set(value) -> frozenset:
-    """A comma-separated list or a JSON list of labels."""
+    """A comma-separated or JSON list of labels, each stripped; empty ones are dropped."""
     if value is None:
         return frozenset()
-    if isinstance(value, list):
-        if not all(isinstance(v, str) for v in value):
-            raise ConfigurationError(f"label lists must hold strings, got {json.dumps(value)}")
-        return frozenset(value)
-    return frozenset(part.strip() for part in value.split(",") if part.strip())
+    if isinstance(value, str):
+        value = value.split(",")
+    elif not all(isinstance(v, str) for v in value):
+        raise ConfigurationError(f"label lists must hold strings, got {json.dumps(value)}")
+    return frozenset(filter(None, map(str.strip, value)))
 
 
 def _mapping_from(resolved: dict) -> ColumnMapping:

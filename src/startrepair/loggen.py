@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstanceLog, ConfigurationError, parse_timestamp
+from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, parse_timestamp
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
@@ -108,10 +109,12 @@ class GenSpec:
         fields = {}
         for key, value in data.items():
             description, valid, convert = SPEC_KEYS[key]
-            if not valid(value):
-                raise ConfigurationError(f"bad generator spec: {key!r} must be "
-                                         f"{description}, got {json.dumps(value)}")
-            fields[key] = convert(value) if convert else value
+            with suppress(LogFormatError):  # a first_arrival that is no timestamp
+                if valid(value):
+                    fields[key] = convert(value) if convert else value
+                    continue
+            raise ConfigurationError(f"bad generator spec: {key!r} must be "
+                                     f"{description}, got {json.dumps(value)}")
         try:
             return cls(**fields)
         except TypeError as exc:  # a required key is missing

@@ -6,7 +6,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import attrgetter, itemgetter, le
 from typing import Iterable, Optional, Sequence
 
@@ -230,18 +230,18 @@ def _record_chunks(source):
             raise fault
 
 
-def _decoded(source, mapping: ColumnMapping, ordered: bool = False):
+def _decoded(source, mapping: ColumnMapping):
     """Decode the CSV rows of `source` under `mapping`, one chunk of at most
     `_CHUNK` records at a time.
 
     Yields per chunk the columns `(traces, activities, firsts, seconds,
     resources)` of its data rows. `firsts` and `seconds` are the start and end
-    stamps, or the event stamps and the lifecycle cells of an event-per-row
-    mapping; with `ordered`, a start after its end is an error. Cells are
-    stripped, and only a resource may be None. Blank lines are skipped and not
-    counted; the header is row 1. A repeated header name resolves to its last
-    occurrence. A row may lack unmapped trailing cells but no mapped one, and
-    may not be longer than the header. Equal trace ids, activities and
+    stamps of instance rows, where a start after its end is an error, or the
+    stamps and lower-cased lifecycles of event rows. Cells are stripped, and
+    only a resource may be None. Blank lines are skipped and not counted; the
+    header is row 1. A repeated header name resolves to its last occurrence. A
+    row may lack unmapped trailing cells but no mapped one, and may not be
+    longer than the header. Equal trace ids, activities, lifecycles and
     resources are one string object, shared through a memo that lives for
     this read only, so a log keeps one string per distinct label.
 
@@ -284,7 +284,7 @@ def _decoded(source, mapping: ColumnMapping, ordered: bool = False):
             if not all(cells[:4]):
                 raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
             stamps = [_row_timestamp(cells[i], row_number) for i in stamped]
-            if ordered and stamps[0] > stamps[1]:
+            if len(stamps) == 2 and stamps[0] > stamps[1]:
                 try:
                     ActivityInstance(cells[0], cells[1], *stamps)
                 except LogFormatError as exc:
@@ -301,13 +301,15 @@ def _decoded(source, mapping: ColumnMapping, ordered: bool = False):
             stamps = [_stamps(cells[i]) for i in stamped]
         except LogFormatError:
             return None
-        if ordered and not all(map(le, *stamps)):
+        if len(stamps) == 1:  # an event row's lifecycle is shared as a label is
+            lifecycles = list(map(str.lower, cells[3]))
+            stamps.append(list(map(share, lifecycles, lifecycles)))
+        elif not all(map(le, *stamps)):
             return None
         traces, activities = (list(map(share, column, column)) for column in cells[:2])
         resources = (list(map(share, cells[4], cells[4])) if resource is not None
                      else [None] * len(rows))
-        seconds = stamps[1] if len(stamps) == 2 else cells[3]
-        return traces, activities, stamps[0], seconds, resources
+        return traces, activities, *stamps, resources
 
     row_number = 2  # of the chunk's first data row
     while records is not None:
@@ -331,24 +333,19 @@ def _row_timestamp(raw: str, row_number: int) -> datetime:
 
 
 def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[tuple]:
-    """The start and end occurrences in the CSV rows of `source` under
-    `mapping`, as `(trace, activity, lifecycle, timestamp, resource)` tuples:
-    one per event row, with its lifecycle lower-cased, or a start and an end
-    per instance row. Row numbers in error messages count the header as row 1.
+    """The events in the event-per-row CSV `source` under `mapping`, as
+    `(trace, activity, lifecycle, timestamp, resource)` tuples, one per row,
+    its lifecycle lower-cased. Row numbers in error messages count the header
+    as row 1. An instance-per-row mapping is a ConfigurationError.
 
     Rows are decoded in chunks of a few hundred, a column at a time; only a
     chunk holding a bad row is walked row by row, to name the first one.
     """
-    events = []
-    for traces, activities, firsts, seconds, resources in _decoded(source, mapping):
-        if mapping.is_event_per_row:
-            events.extend(zip(traces, activities, map(str.lower, seconds), firsts,
-                              resources))
-        else:
-            events.extend(chain.from_iterable(zip(
-                zip(traces, activities, repeat("start"), firsts, resources),
-                zip(traces, activities, repeat("end"), seconds, resources))))
-    return events
+    if not mapping.is_event_per_row:
+        raise ConfigurationError("parse_event_log needs an event-per-row mapping")
+    return list(chain.from_iterable(
+        zip(traces, activities, lifecycles, stamps, resources)
+        for traces, activities, stamps, lifecycles, resources in _decoded(source, mapping)))
 
 
 def to_activity_instances(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, PairingSummary]:
@@ -389,11 +386,9 @@ def to_activity_instances(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, P
 
 
 def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> ActivityInstanceLog:
-    """Read an instance-per-row CSV directly, preserving row order.
-
-    Unlike `parse_event_log` + `to_activity_instances`, this never re-pairs
-    rows, so write -> read round trips are exact even when same-key instances
-    overlap in time.
+    """Read an instance-per-row CSV, preserving row order, so that a write ->
+    read round trip is exact; a start after its end is an error. An
+    event-per-row mapping is a ConfigurationError.
 
     Rows are decoded in chunks of a few hundred, each checked and converted a
     column at a time, so the read's transient memory is one chunk's records
@@ -403,7 +398,7 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
     if mapping.is_event_per_row:
         raise ConfigurationError("read_instance_log needs an instance-per-row mapping")
     columns = [[], [], [], [], []]
-    for chunk in _decoded(source, mapping, ordered=True):
+    for chunk in _decoded(source, mapping):
         for column, part in zip(columns, chunk):
             column.extend(part)
     for i in range(len(columns)):  # free each list as its tuple is made

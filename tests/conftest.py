@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from datetime import datetime, timezone
 
 import pytest
@@ -38,6 +40,21 @@ def shipping_csv() -> str:
     lines = ["case_id,activity,start_time,end_time,resource"]
     lines += [",".join(row) for row in SHIPPING_ROWS]
     return "\n".join(lines) + "\n"
+
+
+EVENT_HEADER = "case_id,activity,timestamp,lifecycle,resource\n"
+
+
+def event_csv(rows) -> str:
+    """Event-per-row CSV of instance rows `(trace, activity, start, end,
+    resource)`: a start event and an end event per row."""
+    sink = io.StringIO()
+    sink.write(EVENT_HEADER)
+    writer = csv.writer(sink, lineterminator="\n")
+    for trace, activity, start, end, resource in rows:
+        writer.writerows(((trace, activity, start, "start", resource),
+                          (trace, activity, end, "end", resource)))
+    return sink.getvalue()
 
 
 @pytest.fixture

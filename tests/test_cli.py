@@ -9,7 +9,7 @@ from startrepair import ActivityInstance, cli
 from startrepair.cli import main
 from startrepair.repair import repair_start_times
 
-from .conftest import SHIPPING_ROWS, shipping_csv
+from .conftest import SHIPPING_ROWS, event_csv, shipping_csv
 
 
 @pytest.fixture
@@ -23,10 +23,7 @@ def shipping_file(tmp_path):
 def shipping_events_file(tmp_path):
     """The shipping log as event rows: a start row and an end row per instance."""
     path = tmp_path / "events.csv"
-    path.write_text("case_id,activity,timestamp,lifecycle,resource\n" + "".join(
-        f"{trace},{activity},{start},start,{resource}\n"
-        f"{trace},{activity},{end},end,{resource}\n"
-        for trace, activity, start, end, resource in SHIPPING_ROWS))
+    path.write_text(event_csv(SHIPPING_ROWS))
     return path
 
 
@@ -268,6 +265,23 @@ class TestConfigValues:
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["bot_resources"] == ["Fry", "Leela"]
         assert report["config"]["allow_later_start"] is False
+
+    # input cells are stripped, so an unstripped or empty label matches nothing
+    @pytest.mark.parametrize("given, labels", [
+        ("config", [" Fry "]), ("config", [" Fry ", " "]), ("config", " Fry ,"),
+        ("flag", " Fry ,"),
+    ])
+    def test_labels_stripped_and_empty_ones_dropped(self, shipping_file, tmp_path,
+                                                    capsys, given, labels):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bot_resources": labels} if given == "config"
+                                     else {}))
+        flags = ["--bot-resources", labels] if given == "flag" else []
+        assert run("repair", "--input", shipping_file, "--output", tmp_path / "out.csv",
+                   "--config", config, *flags) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["bot_resources"] == ["Fry"]
+        assert report["rule_counts"]["bot_or_instant"] == 2
 
     def test_null_means_not_given(self, shipping_file, tmp_path, capsys):
         config = tmp_path / "config.json"

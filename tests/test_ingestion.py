@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from startrepair import (LogFormatError, model, parse_event_log, read_instance_log,
                          to_activity_instances)
-from startrepair.model import EVENT_COLUMNS, INSTANCE_COLUMNS, _columns, parse_timestamp
+from startrepair.model import _columns, parse_timestamp
 
 from .strategies import EPOCH
 
@@ -119,7 +119,7 @@ def test_read_memory_is_bounded_by_the_chunk():
 
 EVENT_CSV = """case_id,activity,timestamp,lifecycle,resource
 T01,Pack,2021-03-01 08:00:00,start,R01
-T02,Pack,2021-03-01 08:05:00,start,
+T02,Pack,2021-03-01 08:05:00,START,
 T01,Pack,2021-03-01 08:10:00,end,R01
 T02,Pack,2021-03-01 08:20:00,end,
 T01,Invoice,2021-03-01 08:30:00,start,R01
@@ -149,15 +149,13 @@ def test_equal_labels_are_one_object():
     assert log.resources.count(None) == 2
 
     events = parse_event_log(io.StringIO(EVENT_CSV))
-    assert_labels_shared(*zip(*((trace, activity, resource)
-                                for trace, activity, _, _, resource in events)))
+    assert_labels_shared(*zip(*((trace, activity, lifecycle, resource)
+                                for trace, activity, lifecycle, _, resource in events)))
     assert [resource for *_, resource in events].count(None) == 2
 
-    for text, mapping, missing in ((EVENT_CSV, EVENT_COLUMNS, 1),
-                                   (INSTANCE_CSV, INSTANCE_COLUMNS, 2)):
-        paired, _ = to_activity_instances(parse_event_log(io.StringIO(text), mapping))
-        assert_labels_shared(paired.trace_ids, paired.activities, paired.resources)
-        assert paired.resources.count(None) == missing
+    paired, _ = to_activity_instances(events)
+    assert_labels_shared(paired.trace_ids, paired.activities, paired.resources)
+    assert paired.resources.count(None) == 1
 
 
 def test_equal_labels_are_one_object_across_chunks(monkeypatch):
@@ -213,7 +211,7 @@ def chunked_csv(draw, events: bool):
     return "\n".join([header, *map(",".join, lines)]) + "\n"
 
 
-def per_row_oracle(text: str, events: bool, ordered: bool):
+def per_row_oracle(text: str, events: bool):
     """The rows `(trace, activity, first, second, resource)` read one at a
     time with the per-row rules, or the first bad row's error text."""
     what = (("trace id", "activity", "timestamp", "lifecycle") if events
@@ -241,7 +239,7 @@ def per_row_oracle(text: str, events: bool, ordered: bool):
                     raise LogFormatError(
                         f"row {number}: unparseable timestamp {cells[i]!r}") from None
             trace, activity, first, second, resource = cells
-            if ordered and first > second:
+            if not events and first > second:
                 raise LogFormatError(f"row {number}: instance start {first} after end "
                                      f"{second} (trace {trace}, activity {activity})")
             rows.append((memo.setdefault(trace, trace),
@@ -270,24 +268,17 @@ def assert_one_object_per_label(rows):
 @settings(max_examples=400, deadline=None)
 @given(st.data(), st.sampled_from((3, 4)), st.booleans())
 def test_chunked_reading_matches_the_per_row_oracle(data, chunk, events):
+    """Event text through `parse_event_log`, instance text through
+    `read_instance_log`."""
     text = data.draw(chunked_csv(events))
-    mapping = EVENT_COLUMNS if events else INSTANCE_COLUMNS
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_CHUNK", chunk)
-        parsed = outcome(lambda: parse_event_log(io.StringIO(text), mapping))
-        read = None if events else outcome(
-            lambda: list(zip(*_columns(read_instance_log(io.StringIO(text))))))
-    expected = per_row_oracle(text, events, ordered=False)
+        read = outcome(lambda: parse_event_log(io.StringIO(text)) if events
+                       else list(zip(*_columns(read_instance_log(io.StringIO(text))))))
+    expected = per_row_oracle(text, events)
     if not isinstance(expected, str):
-        expected = ([(trace, activity, second.lower(), first, resource)
-                     for trace, activity, first, second, resource in expected] if events
-                    else [(trace, activity, phase, stamp, resource)
-                          for trace, activity, start, end, resource in expected
-                          for phase, stamp in (("start", start), ("end", end))])
-        assert_one_object_per_label(parsed)
-    assert repr(parsed) == repr(expected)
-    if not events:
-        expected = per_row_oracle(text, events, ordered=True)
-        if not isinstance(expected, str):
-            assert_one_object_per_label(read)
-        assert repr(read) == repr(expected)
+        if events:
+            expected = [(trace, activity, second.lower(), first, resource)
+                        for trace, activity, first, second, resource in expected]
+        assert_one_object_per_label(read)
+    assert repr(read) == repr(expected)

@@ -136,6 +136,8 @@ class TestSpecKeys:
          "'missing_resource_rate' must be"),
         ({"seed": 1, "trace_count": 2, "multitasking": 1}, "'multitasking' must be"),
         ({"seed": 1, "trace_count": 2, "first_arrival": 5}, "'first_arrival' must be"),
+        ({"seed": 1, "trace_count": 2, "first_arrival": "soon"},
+         "'first_arrival' must be an ISO 8601 timestamp, got \"soon\""),
     ])
     def test_bad_spec_is_a_one_line_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"

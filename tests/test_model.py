@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import operator
 import re
@@ -25,9 +26,10 @@ from startrepair import (
     write_activity_instance_log,
 )
 from startrepair.concurrency import write_concurrency
-from startrepair.model import EVENT_COLUMNS, parse_timestamp
+from startrepair.model import EVENT_COLUMNS, INSTANCE_COLUMNS, parse_timestamp
 
-from .conftest import resource_buckets, shipping_csv, shipping_instances, ts
+from .conftest import (EVENT_HEADER, SHIPPING_ROWS, event_csv, resource_buckets,
+                       shipping_csv, shipping_instances, ts)
 from .strategies import instance_logs
 
 
@@ -119,40 +121,35 @@ class TestTimestampFastPath:
 
 
 class TestParseEventLog:
-    def test_instance_row_yields_two_events(self):
-        source = io.StringIO(
-            "case_id,activity,start_time,end_time,resource\n"
-            "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry\n"
-        )
-        events = parse_event_log(source, ColumnMapping())
-        assert [lifecycle for _, _, lifecycle, _, _ in events] == ["start", "end"]
-        assert events[0][3] == ts("2021-03-07 12:59:21")
-        assert events[1][3] == ts("2021-03-07 13:05:37")
-        assert all(trace == "23" and resource == "Fry"
-                   for trace, _, _, _, resource in events)
-
     def test_empty_file_with_header(self):
-        source = io.StringIO("case_id,activity,start_time,end_time,resource\n")
-        assert parse_event_log(source, ColumnMapping()) == []
+        assert parse_event_log(io.StringIO(EVENT_HEADER), EVENT_COLUMNS) == []
 
     def test_bad_timestamp_names_row(self):
         source = io.StringIO(
-            "case_id,activity,start_time,end_time,resource\n"
-            "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry\n"
-            "24,Register Order,not-a-date,2021-03-07 13:12:11,Fry\n"
+            EVENT_HEADER
+            + "23,Register Order,2021-03-07 12:59:21,start,Fry\n"
+            + "24,Register Order,not-a-date,start,Fry\n"
         )
         with pytest.raises(LogFormatError, match="row 3.*not-a-date"):
-            parse_event_log(source, ColumnMapping())
+            parse_event_log(source, EVENT_COLUMNS)
 
     def test_missing_mapped_column_is_config_error(self):
         source = io.StringIO("case,act,ts\n")
         with pytest.raises(ConfigurationError, match="missing"):
-            parse_event_log(source, ColumnMapping())
+            parse_event_log(source, EVENT_COLUMNS)
 
     def test_event_mapping_is_refused_by_the_instance_reader(self):
-        source = io.StringIO("case_id,activity,timestamp,lifecycle,resource\n")
+        source = io.StringIO(EVENT_HEADER)
         with pytest.raises(ConfigurationError, match="needs an instance-per-row mapping"):
             read_instance_log(source, EVENT_COLUMNS)
+
+    def test_instance_mapping_is_refused_by_the_event_reader(self):
+        # a reversed instance row is rejected by every reader, never split
+        # into an orphan end and a dropped start
+        source = io.StringIO(HEADER + "1,a,2021-03-07 14:00:00,2021-03-07 13:00:00,r\n")
+        with pytest.raises(ConfigurationError,
+                           match="^parse_event_log needs an event-per-row mapping$"):
+            parse_event_log(source, INSTANCE_COLUMNS)
 
     def test_event_per_row_mapping(self):
         source = io.StringIO(
@@ -164,11 +161,9 @@ class TestParseEventLog:
         assert [lifecycle for _, _, lifecycle, _, _ in events] == ["start", "end"]
 
     def test_missing_resource_cell_is_none(self):
-        source = io.StringIO(
-            "case_id,activity,start_time,end_time,resource\n"
-            "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,\n"
-        )
-        (_, _, _, _, resource), _ = parse_event_log(source, ColumnMapping())
+        source = io.StringIO(EVENT_HEADER
+                             + "23,Register Order,2021-03-07 12:59:21,start,\n")
+        ((_, _, _, _, resource),) = parse_event_log(source, EVENT_COLUMNS)
         assert resource is None
 
 
@@ -176,10 +171,11 @@ class TestStreams:
     """Readers and writers take text streams and never close them."""
 
     def test_binary_source_is_one_format_error_and_stays_open(self):
-        readers = (read_instance_log, lambda source: parse_event_log(source, ColumnMapping()),
-                   load_concurrency)
-        for reader in readers:
-            source = io.BytesIO(shipping_csv().encode())
+        readers = ((read_instance_log, shipping_csv()),
+                   (parse_event_log, event_csv(SHIPPING_ROWS)),
+                   (load_concurrency, shipping_csv()))
+        for reader, text in readers:
+            source = io.BytesIO(text.encode())
             with pytest.raises(LogFormatError, match="text mode"):
                 reader(source)
             assert not source.closed
@@ -198,16 +194,20 @@ class TestStreams:
 HEADER = "case_id,activity,start_time,end_time,resource\n"
 ROW = "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry\n"
 
-# both instance-row readers must apply the same row rules
-INSTANCE_READERS = {
+# Both readers must apply the same row rules. The event reader reads the
+# instance rows with the start column as its stamp and the end column as its
+# lifecycle, since a rule that does not look at a cell's meaning holds for
+# either shape.
+ROW_READERS = {
     "read_instance_log": lambda source: list(read_instance_log(source)),
-    "parse_event_log": lambda source: parse_event_log(source, ColumnMapping()),
+    "parse_event_log": lambda source: parse_event_log(source, ColumnMapping(
+        start_time=None, end_time=None, timestamp="start_time", lifecycle="end_time")),
 }
 
 
-@pytest.fixture(params=sorted(INSTANCE_READERS))
+@pytest.fixture(params=sorted(ROW_READERS))
 def read_rows(request):
-    return lambda text: INSTANCE_READERS[request.param](io.StringIO(text))
+    return lambda text: ROW_READERS[request.param](io.StringIO(text))
 
 
 class TestRowRules:
@@ -251,6 +251,8 @@ class TestRowRules:
         ("23,Register Order,2021-03-07 12:59:21,later,Fry",
          "row 2: unparseable timestamp 'later'"),
     ])
+    # the messages name the instance columns, so only the instance reader
+    @pytest.mark.parametrize("read_rows", ["read_instance_log"], indirect=True)
     def test_single_fault_messages(self, read_rows, row, message):
         with pytest.raises(LogFormatError) as error:
             read_rows(HEADER + row + "\n")
@@ -271,7 +273,7 @@ class TestRowRules:
 
 class TestPairing:
     def test_shipping_log_pairs_bit_exact(self):
-        events = parse_event_log(io.StringIO(shipping_csv()), ColumnMapping())
+        events = parse_event_log(io.StringIO(event_csv(SHIPPING_ROWS)), EVENT_COLUMNS)
         log, summary = to_activity_instances(events)
         assert summary.matched_pairs == 10
         assert summary.orphan_ends == summary.dropped_starts == 0
@@ -367,7 +369,8 @@ class TestWriteRoundTrip:
     def test_write_parse_pair_round_trip(self, shipping_log):
         sink = io.StringIO()
         write_activity_instance_log(shipping_log, sink)
-        events = parse_event_log(io.StringIO(sink.getvalue()), ColumnMapping())
+        written = list(csv.reader(io.StringIO(sink.getvalue())))[1:]
+        events = parse_event_log(io.StringIO(event_csv(written)), EVENT_COLUMNS)
         log, _ = to_activity_instances(events)
         assert sorted(log.instances, key=lambda i: (i.start, i.end)) == sorted(
             shipping_log.instances, key=lambda i: (i.start, i.end)
