@@ -22,8 +22,13 @@ one reads that log with every start and end first floored to 30 minutes, so
 that many ends are equal and which of them becomes an anchor shows in the
 offsets written. The event-rows-merged one reads the event rows with every
 two consecutive traces, in order of first appearance, under the first one's
-case id, so that a pairing key closes and later opens again. Report paths are
-normalised.
+case id, so that a pairing key closes and later opens again. The
+quoted-labels one reads the log split into thirds of its traces, in order of
+first appearance: in the first, every 7th trace's id and resource hold `,`,
+`"` and a line break; in the second, every 5th trace's stamps are 250 ms
+later; the last is as generated. So the writer meets slices of rows that the
+csv module must quote, slices it formats stamp by stamp, and slices it joins
+and formats in bulk. Report paths are normalised.
 """
 from __future__ import annotations
 
@@ -58,6 +63,7 @@ CONFIGURATIONS = (
     ("event-rows-noisy", "noisy", EVENT_FLAGS),
     ("tied-ends", "tied", ()),
     ("event-rows-merged", "merged", EVENT_FLAGS),
+    ("quoted-labels", "quoted", ()),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -139,6 +145,26 @@ def _floored(log: ActivityInstanceLog) -> ActivityInstanceLog:
                                for i in log.instances)
 
 
+def _quoted(log: ActivityInstanceLog) -> ActivityInstanceLog:
+    """The log with the trace ids and resources of every 7th trace in the
+    first third of its traces, in order of first appearance, holding `,`, `"`
+    and a line break, and the stamps of every 5th trace in the second third
+    moved 250 ms later."""
+    traces = list(dict.fromkeys(i.trace_id for i in log.instances))
+    third = len(traces) // 3
+    quoted, shifted = set(traces[:third:7]), set(traces[third:2 * third:5])
+    late = timedelta(milliseconds=250)
+
+    def edit(i):
+        if i.trace_id in quoted:
+            return replace(i, trace_id=f'{i.trace_id},"q"\n{i.trace_id}',
+                           resource=i.resource and f'{i.resource} "q",\nx')
+        if i.trace_id in shifted:
+            return replace(i, start=i.start + late, end=i.end + late)
+        return i
+    return ActivityInstanceLog(map(edit, log.instances))
+
+
 def digests(seed: int, traces: int, workdir: str):
     """Yield (configuration, artefact, sha256 hex digest)."""
     spec = GenSpec(seed=seed, trace_count=traces,
@@ -147,10 +173,11 @@ def digests(seed: int, traces: int, workdir: str):
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
              for name in ("truth", "instances", "events", "mixed", "noisy", "tied",
-                          "merged")}
+                          "merged", "quoted")}
     for name, log in (("truth", truth), ("instances", corrupted),
                       ("mixed", _mixed_offsets(corrupted)),
-                      ("tied", _mixed_offsets(_floored(corrupted)))):
+                      ("tied", _mixed_offsets(_floored(corrupted))),
+                      ("quoted", _quoted(corrupted))):
         with open(paths[name], "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)
     rows = _event_rows(corrupted)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -46,6 +47,9 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
+    """The text a writer gives `ts`: ISO 8601 with a space separator and the
+    stamp's own offset. This is the one formatting rule; the writer's bulk
+    path, `_stamp_texts`, gives exactly its text."""
     return ts.isoformat(sep=" ")
 
 
@@ -150,7 +154,9 @@ class ColumnMapping:
     """Names of the CSV columns carrying each field.
 
     Instance-per-row inputs set `start_time` and `end_time`; event-per-row
-    inputs set `timestamp` and `lifecycle` instead.
+    inputs set `timestamp` and `lifecycle` instead. A mapping that sets a
+    column of each shape is a ConfigurationError, so no column it names is
+    silently ignored.
     """
 
     trace_id: str = "case_id"
@@ -162,6 +168,11 @@ class ColumnMapping:
     resource: Optional[str] = "resource"
 
     def __post_init__(self):
+        if (self.timestamp or self.lifecycle) and (self.start_time or self.end_time):
+            raise ConfigurationError(
+                "mapping names columns of two input shapes: set start_time+end_time "
+                "or timestamp+lifecycle, not both"
+            )
         if not (self.start_time and self.end_time) and not self.is_event_per_row:
             raise ConfigurationError(
                 "mapping needs either start_time+end_time or timestamp+lifecycle columns"
@@ -207,6 +218,47 @@ def _stamps(cells: Sequence[str]) -> list[datetime]:
         stamps = list(map(datetime.combine, map(datetime.date, stamps),
                           map(datetime.time, stamps), map(_UTC, zones, zones)))
     return stamps
+
+
+# a clock's "HH:MM:" by (hour, minute), and its "SS" by second
+_CLOCK_MINUTES = {(m // 60, m % 60): f"{m // 60:02}:{m % 60:02}:" for m in range(1440)}
+_CLOCK_SECONDS = tuple(f"{s:02}" for s in range(60))
+_QUOTED = re.compile('[,"\r\n]')  # a label holding one goes through the csv module
+_EMPTY = {None: ""}.get  # a None resource's cell
+
+
+def _stamp_texts(stamps: Sequence[datetime]) -> list[str]:
+    """`format_timestamp` over a column of stamps, in bulk.
+
+    When every stamp has the same `datetime.timezone` zone and none has
+    microseconds, each text is put together from the stamp's own local
+    fields. The `"YYYY-MM-DD "` part comes from one `format_timestamp` call
+    per distinct local day, the zone's offset from one more, and the clock
+    from the tables `_CLOCK_MINUTES` and `_CLOCK_SECONDS`. A fixed zone
+    prints one offset for every stamp, so each text equals
+    `format_timestamp`'s. Any other column is formatted stamp by stamp."""
+    zones = list(map(attrgetter("tzinfo"), stamps))  # compared: some can't be hashed
+    if (not zones or type(zones[0]) is not timezone or zones.count(zones[0]) < len(zones)
+            or any(map(attrgetter("microsecond"), stamps))):
+        return list(map(format_timestamp, stamps))
+    days = list(map(datetime.toordinal, stamps))
+    dates = {day: format_timestamp(stamp)[:11]
+             for day, stamp in dict(zip(days, stamps)).items()}
+    suffix = format_timestamp(stamps[0])[19:]
+    seconds = [text + suffix for text in _CLOCK_SECONDS]
+    return list(map("".join, zip(
+        map(dates.__getitem__, days),
+        map(_CLOCK_MINUTES.__getitem__, map(attrgetter("hour", "minute"), stamps)),
+        map(seconds.__getitem__, map(attrgetter("second"), stamps)))))
+
+
+def _plain(labels: Iterable) -> bool:
+    """Whether the csv module writes each of `labels` as it is: every one is
+    a string holding none of `,`, `"`, CR and LF."""
+    try:
+        return not _QUOTED.search("".join(labels))
+    except TypeError:  # a label that is not a string; the csv module writes its str()
+        return False
 
 
 def _record_chunks(source):
@@ -409,17 +461,27 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
 def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     """Write the log as CSV with header `case_id,activity,start_time,end_time,resource`
     and ISO-8601 timestamps with explicit offset to the text stream `sink`,
-    opened with `newline=""`, then flush it; the stream is left open."""
+    opened with `newline=""`, then flush it; the stream is left open.
+
+    The columns are written in slices of `_CHUNK` rows, so the write's
+    transient memory is one slice's texts, however long the log. Each stamp
+    is written as `format_timestamp` gives it, the one formatting rule:
+    `_stamp_texts` formats a slice's column in bulk and equals that rule
+    stamp by stamp. A slice whose labels are strings holding none of `,`,
+    `"`, CR or LF, which the csv module would write as they are, is joined
+    with commas and written at once; any other slice goes through the csv
+    module, which makes every quoting decision. A None resource is an empty
+    cell on both paths."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(INSTANCE_HEADER)
-    # A start that is another instance's end object, as most repaired starts
-    # are, reuses that end's text. The memo is keyed by identity, never by
-    # value: equal instants with different offsets compare equal but print
-    # differently. The log keeps every stamp alive, so no id is reused here.
-    end_texts = list(map(format_timestamp, log.ends))
-    memo = dict(zip(map(id, log.ends), end_texts))
-    start_texts = (memo.get(id(start)) or format_timestamp(start) for start in log.starts)
-    # the csv module writes a None resource as an empty cell
-    writer.writerows(zip(log.trace_ids, log.activities, start_texts, end_texts,
-                         log.resources))
+    columns = _columns(log)
+    for at in range(0, len(log), _CHUNK):
+        traces, activities, starts, ends, resources = (column[at:at + _CHUNK]
+                                                       for column in columns)
+        resources = list(map(_EMPTY, resources, resources))
+        rows = zip(traces, activities, _stamp_texts(starts), _stamp_texts(ends), resources)
+        if _plain(chain(traces, activities, resources)):
+            sink.write("\n".join(map(",".join, rows)) + "\n")
+        else:
+            writer.writerows(rows)
     sink.flush()

@@ -539,11 +539,16 @@ class TestRejectedSettings:
         (("concurrency",), None, "concurrency needs --input"),
         (("repair", "--input", "{log}", "--output", "{out}", "--start-column="), None,
          "mapping needs either start_time+end_time or timestamp+lifecycle columns"),
+        (("repair", "--input", "{log}", "--output", "{out}", "--lifecycle-column",
+          "lifecycle", "--start-column", "nonexistent"), None,
+         "mapping names columns of two input shapes: set start_time+end_time or "
+         "timestamp+lifecycle, not both"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "delay_range": [10, 5]}',
          "bad delay_range: (10, 5)"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "missing_resource_rate": 1.5}',
          "missing_resource_rate must be in [0, 1]"),
     ], ids=["config-list", "concurrency-no-input", "empty-start-column",
+            "event-and-instance-columns",
             "reversed-delay-range", "missing-resource-rate-above-1"])
     def test_one_line_error(self, shipping_file, tmp_path, capsys, argv, text, message):
         paths = {"log": shipping_file, "out": tmp_path / "out.csv",

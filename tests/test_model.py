@@ -151,6 +151,17 @@ class TestParseEventLog:
                            match="^parse_event_log needs an event-per-row mapping$"):
             parse_event_log(source, INSTANCE_COLUMNS)
 
+    def test_mapping_of_two_shapes_is_refused(self):
+        for fields in ({"timestamp": "ts", "lifecycle": "lc"},  # keeps start and end
+                       {"timestamp": "ts"},
+                       {"start_time": None, "timestamp": "ts", "lifecycle": "lc"}):
+            with pytest.raises(ConfigurationError,
+                               match="^mapping names columns of two input shapes"):
+                ColumnMapping(**fields)
+        with pytest.raises(ConfigurationError, match="two input shapes"):
+            replace(EVENT_COLUMNS, start_time="start")
+        assert replace(EVENT_COLUMNS, timestamp="ts", lifecycle="lc").is_event_per_row
+
     def test_event_per_row_mapping(self):
         source = io.StringIO(
             "case_id,activity,timestamp,lifecycle,resource\n"
