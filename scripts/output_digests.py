@@ -26,9 +26,12 @@ case id, so that a pairing key closes and later opens again. The
 quoted-labels one reads the log split into thirds of its traces, in order of
 first appearance: in the first, every 7th trace's id and resource hold `,`,
 `"` and a line break; in the second, every 5th trace's stamps are 250 ms
-later; the last is as generated. So the writer meets slices of rows that the
-csv module must quote, slices it formats stamp by stamp, and slices it joins
-and formats in bulk. Report paths are normalised.
+later, and every 6th trace not so moved has its stamps at UTC+01:00 in a
+zone that is not a `datetime.timezone`; the last is as generated. So the writer meets slices of
+rows that the csv module must quote, a slice it formats stamp by stamp, and
+slices it joins and formats in bulk; the repaired log, read back with
+`datetime.timezone` zones, has slices of stamps with fractions and of two
+offsets. Report paths are normalised.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import io
 import os
 import tempfile
 from dataclasses import replace
-from datetime import timedelta, timezone
+from datetime import timedelta, timezone, tzinfo
 from itertools import groupby
 from operator import itemgetter
 
@@ -145,14 +148,26 @@ def _floored(log: ActivityInstanceLog) -> ActivityInstanceLog:
                                for i in log.instances)
 
 
+class _PlusOne(tzinfo):
+    """UTC+01:00 as a plain `tzinfo`, not a `datetime.timezone`."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=1)
+
+    def dst(self, dt):
+        return timedelta(0)
+
+
 def _quoted(log: ActivityInstanceLog) -> ActivityInstanceLog:
     """The log with the trace ids and resources of every 7th trace in the
     first third of its traces, in order of first appearance, holding `,`, `"`
-    and a line break, and the stamps of every 5th trace in the second third
-    moved 250 ms later."""
+    and a line break; the stamps of every 5th trace in the second third moved
+    250 ms later, and those of every 6th trace there not so moved at
+    `_PlusOne`."""
     traces = list(dict.fromkeys(i.trace_id for i in log.instances))
     third = len(traces) // 3
     quoted, shifted = set(traces[:third:7]), set(traces[third:2 * third:5])
+    plus_one, zone = set(traces[third:2 * third:6]) - shifted, _PlusOne()
     late = timedelta(milliseconds=250)
 
     def edit(i):
@@ -161,6 +176,8 @@ def _quoted(log: ActivityInstanceLog) -> ActivityInstanceLog:
                            resource=i.resource and f'{i.resource} "q",\nx')
         if i.trace_id in shifted:
             return replace(i, start=i.start + late, end=i.end + late)
+        if i.trace_id in plus_one:
+            return replace(i, start=i.start.astimezone(zone), end=i.end.astimezone(zone))
         return i
     return ActivityInstanceLog(map(edit, log.instances))
 

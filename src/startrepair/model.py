@@ -230,26 +230,36 @@ _EMPTY = {None: ""}.get  # a None resource's cell
 def _stamp_texts(stamps: Sequence[datetime]) -> list[str]:
     """`format_timestamp` over a column of stamps, in bulk.
 
-    When every stamp has the same `datetime.timezone` zone and none has
-    microseconds, each text is put together from the stamp's own local
-    fields. The `"YYYY-MM-DD "` part comes from one `format_timestamp` call
-    per distinct local day, the zone's offset from one more, and the clock
-    from the tables `_CLOCK_MINUTES` and `_CLOCK_SECONDS`. A fixed zone
-    prints one offset for every stamp, so each text equals
-    `format_timestamp`'s. Any other column is formatted stamp by stamp."""
-    zones = list(map(attrgetter("tzinfo"), stamps))  # compared: some can't be hashed
-    if (not zones or type(zones[0]) is not timezone or zones.count(zones[0]) < len(zones)
-            or any(map(attrgetter("microsecond"), stamps))):
+    When every stamp's zone is a `datetime.timezone`, each text is put
+    together from the stamp's own local fields. The `"YYYY-MM-DD "` part
+    comes from one `format_timestamp` call per distinct local day, each
+    zone's offset from one more, the clock from the tables `_CLOCK_MINUTES`
+    and `_CLOCK_SECONDS`, and a fraction `.ffffff` is added where the stamp
+    has microseconds, as `isoformat` adds it. A fixed zone prints one offset
+    for every stamp, so each text equals `format_timestamp`'s. A column with
+    any other zone, or with naive stamps, is formatted stamp by stamp."""
+    zones = list(map(attrgetter("tzinfo"), stamps))
+    if set(map(type, zones)) != {timezone}:  # checked first: some zones can't be hashed
         return list(map(format_timestamp, stamps))
     days = list(map(datetime.toordinal, stamps))
     dates = {day: format_timestamp(stamp)[:11]
              for day, stamp in dict(zip(days, stamps)).items()}
-    suffix = format_timestamp(stamps[0])[19:]
-    seconds = [text + suffix for text in _CLOCK_SECONDS]
-    return list(map("".join, zip(
-        map(dates.__getitem__, days),
-        map(_CLOCK_MINUTES.__getitem__, map(attrgetter("hour", "minute"), stamps)),
-        map(seconds.__getitem__, map(attrgetter("second"), stamps)))))
+    offsets = {zone: format_timestamp(datetime.min.replace(tzinfo=zone))[19:]
+               for zone in set(zones)}
+    seconds = map(attrgetter("second"), stamps)
+    texts = [map(dates.__getitem__, days),
+             map(_CLOCK_MINUTES.__getitem__, map(attrgetter("hour", "minute"), stamps))]
+    if len(offsets) == 1 and not any(map(attrgetter("microsecond"), stamps)):
+        # the common column: one zone and whole seconds, so the offset rides
+        # on the second's text
+        offset, = offsets.values()
+        texts.append(map([text + offset for text in _CLOCK_SECONDS].__getitem__, seconds))
+    else:
+        micros = list(map(attrgetter("microsecond"), stamps))
+        fractions = {micro: f".{micro:06}" if micro else "" for micro in set(micros)}
+        texts += [map(_CLOCK_SECONDS.__getitem__, seconds), map(fractions.__getitem__, micros),
+                  map(offsets.__getitem__, zones)]
+    return list(map("".join, zip(*texts)))
 
 
 def _plain(labels: Iterable) -> bool:

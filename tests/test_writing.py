@@ -86,8 +86,8 @@ BASE = datetime(2021, 3, 1, 8)
 def chunked_logs(draw):
     """A log of one to three slices and a part, whose labels hold a quoted
     character, a space, an empty resource or a None resource in a few rows
-    only. Each slice's stamps take one fixed zone, and in some slices every
-    third stamp has 250 ms."""
+    only. Each slice's stamps take one fixed zone, the seasonal zone, or
+    the fixed zones in turn, and in some slices every third stamp has 250 ms."""
     chunk = model._CHUNK
     size = draw(st.integers(chunk + 1, 3 * chunk + 7))
     traces = [f"t{n // 3}" for n in range(size)]
@@ -99,13 +99,17 @@ def chunked_logs(draw):
         column[draw(st.integers(0, size - 1))] = draw(st.sampled_from(labels))
     starts, ends = [], []
     for first in range(0, size, chunk):
-        zone = draw(st.sampled_from(FIXED))
+        zone = draw(st.sampled_from((*FIXED, Seasonal(), "in turn")))
         micro = draw(st.booleans())
         for n in range(first, min(first + chunk, size)):
             start = BASE + timedelta(seconds=97 * n,
                                      milliseconds=250 if micro and n % 3 == 0 else 0)
-            starts.append(start.replace(tzinfo=zone))
-            ends.append((start + timedelta(seconds=300 + n % 7)).replace(tzinfo=zone))
+            if zone == "in turn":
+                start = start.replace(tzinfo=FIXED[n % len(FIXED)])
+            else:
+                start = start.replace(tzinfo=zone)
+            starts.append(start)
+            ends.append(start + timedelta(seconds=300 + n % 7))
     return ActivityInstanceLog.from_columns(traces, activities, starts, ends, resources)
 
 
