@@ -9,6 +9,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter, itemgetter, le
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 INSTANCE_HEADER = ("case_id", "activity", "start_time", "end_time", "resource")
@@ -40,7 +41,7 @@ def parse_timestamp(raw: str) -> datetime:
         try:
             ts = datetime.fromisoformat(text)
         except ValueError:
-            raise LogFormatError(f"unparseable timestamp: {raw!r}") from None
+            raise LogFormatError(f"unparseable timestamp {raw!r}") from None
     if ts.tzinfo is None:
         ts = datetime.combine(ts.date(), ts.time(), timezone.utc)
     return ts
@@ -307,11 +308,15 @@ def _decoded(source, mapping: ColumnMapping):
     resources are one string object, shared through a memo that lives for
     this read only, so a log keeps one string per distinct label.
 
-    A chunk is checked and converted a column at a time, by C-level calls, so
-    no row of valid input runs code of its own. When a check fails, the
-    chunk's rows are checked again one by one, in row order, and the first bad
-    row raises its error; only bad input pays for that walk. The records of at
-    most two chunks, the one decoded and the one read next, are alive at once.
+    One decoder, `decode`, holds every row rule. It checks and converts a
+    chunk a column at a time, by C-level calls, so no row of valid input runs
+    code of its own, and raises the first failing check's message: extra
+    fields, then missing ones, then the first empty mapped cell in column
+    order, then the stamps, start column first, then a start after its end.
+    When a chunk fails, the same decoder is run again on each of its rows
+    alone, in row order, and the first bad row raises its message with its
+    row number; only bad input pays for that walk. The records of at most two
+    chunks, the one decoded and the one read next, are alive at once.
     """
     chunks = _record_chunks(source)
     records = next(chunks, None)
@@ -336,38 +341,22 @@ def _decoded(source, mapping: ColumnMapping):
     stamped = (2,) if mapping.is_event_per_row else (2, 3)
     share = {"": None}.setdefault  # an empty resource cell is None
 
-    def raise_first_fault(rows, row_number):
-        for row_number, row in enumerate(rows, row_number):
-            if len(row) > width:
-                raise LogFormatError(f"row {row_number}: malformed CSV row (extra fields)")
-            if len(row) <= reach:
-                raise LogFormatError(f"row {row_number}: malformed CSV row (missing fields)")
-            cells = tuple(map(str.strip, pick(row)))
-            if not all(cells[:4]):
-                raise LogFormatError(f"row {row_number}: empty {what[cells.index('')]}")
-            stamps = [_row_timestamp(cells[i], row_number) for i in stamped]
-            if len(stamps) == 2 and stamps[0] > stamps[1]:
-                try:
-                    ActivityInstance(cells[0], cells[1], *stamps)
-                except LogFormatError as exc:
-                    raise LogFormatError(f"row {row_number}: {exc}") from None
-
-    def bulk(rows):
+    def decode(rows):
         widths = set(map(len, rows))
-        if max(widths) > width or min(widths) <= reach:
-            return None
+        if max(widths) > width:
+            raise LogFormatError("malformed CSV row (extra fields)")
+        if min(widths) <= reach:
+            raise LogFormatError("malformed CSV row (missing fields)")
         cells = [tuple(map(str.strip, column)) for column in zip(*map(pick, rows))]
-        if not all(map(all, cells[:4])):
-            return None
-        try:
-            stamps = [_stamps(cells[i]) for i in stamped]
-        except LogFormatError:
-            return None
+        for name, column in zip(what, cells):
+            if not all(column):
+                raise LogFormatError(f"empty {name}")
+        stamps = [_stamps(cells[i]) for i in stamped]
         if len(stamps) == 1:  # an event row's lifecycle is shared as a label is
             lifecycles = list(map(str.lower, cells[3]))
             stamps.append(list(map(share, lifecycles, lifecycles)))
         elif not all(map(le, *stamps)):
-            return None
+            list(map(ActivityInstance, cells[0], cells[1], *stamps))  # the first bad row raises
         traces, activities = (list(map(share, column, column)) for column in cells[:2])
         resources = (list(map(share, cells[4], cells[4])) if resource is not None
                      else [None] * len(rows))
@@ -377,21 +366,18 @@ def _decoded(source, mapping: ColumnMapping):
     while records is not None:
         rows = list(filter(None, records))  # a blank line is an empty record
         if rows:
-            decoded = bulk(rows)
-            if decoded is None:
-                raise_first_fault(rows, row_number)
+            try:
+                decoded = decode(rows)
+            except LogFormatError:
+                for number, row in enumerate(rows, row_number):
+                    try:
+                        decode([row])
+                    except LogFormatError as exc:
+                        raise LogFormatError(f"row {number}: {exc}") from None
+                raise
             row_number += len(rows)
             yield decoded
         records = next(chunks, None)
-
-
-def _row_timestamp(raw: str, row_number: int) -> datetime:
-    try:
-        return parse_timestamp(raw)
-    except LogFormatError:
-        raise LogFormatError(
-            f"row {row_number}: unparseable timestamp {raw!r}"
-        ) from None
 
 
 def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[tuple]:
@@ -401,7 +387,8 @@ def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[tupl
     as row 1. An instance-per-row mapping is a ConfigurationError.
 
     Rows are decoded in chunks of a few hundred, a column at a time; only a
-    chunk holding a bad row is walked row by row, to name the first one.
+    chunk holding a bad row is decoded again one row at a time, to name the
+    first one.
     """
     if not mapping.is_event_per_row:
         raise ConfigurationError("parse_event_log needs an event-per-row mapping")
@@ -448,14 +435,18 @@ def to_activity_instances(rows: Iterable[tuple]) -> tuple[ActivityInstanceLog, P
 
 
 def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> ActivityInstanceLog:
-    """Read an instance-per-row CSV, preserving row order, so that a write ->
-    read round trip is exact; a start after its end is an error. An
-    event-per-row mapping is a ConfigurationError.
+    """Read an instance-per-row CSV, preserving row order; a start after its
+    end is an error. An event-per-row mapping is a ConfigurationError.
+
+    Every cell is stripped of surrounding spaces, so a write -> read round
+    trip is exact only for labels without them: a trace id written as ` t1`
+    is read back as `t1`.
 
     Rows are decoded in chunks of a few hundred, each checked and converted a
     column at a time, so the read's transient memory is one chunk's records
-    and cells, however long the log. Only a chunk that fails a check is walked
-    row by row, so that the first bad row's error, with its row number, wins.
+    and cells, however long the log. Only a chunk that fails a check is
+    decoded again one row at a time, so that the first bad row's error, with
+    its row number, wins.
     """
     if mapping.is_event_per_row:
         raise ConfigurationError("read_instance_log needs an instance-per-row mapping")
@@ -481,8 +472,11 @@ def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
     `"`, CR or LF, which the csv module would write as they are, is joined
     with commas and written at once; any other slice goes through the csv
     module, which makes every quoting decision. A None resource is an empty
-    cell on both paths."""
-    writer = csv.writer(sink, lineterminator="\n")
+    cell on both paths. Rows end in LF; the csv module is given the
+    terminator CRLF, so that it quotes a field holding a lone CR, as a reader
+    needs, and each row's final CRLF is written as LF."""
+    writer = csv.writer(SimpleNamespace(write=lambda row: sink.write(row[:-2] + "\n")),
+                        lineterminator="\r\n")
     writer.writerow(INSTANCE_HEADER)
     columns = _columns(log)
     for at in range(0, len(log), _CHUNK):

@@ -49,6 +49,11 @@ class TestTimestampParsing:
         with pytest.raises(LogFormatError):
             parse_timestamp("not-a-date")
 
+    def test_garbage_message_is_the_row_message_without_its_row(self):
+        with pytest.raises(LogFormatError) as error:
+            parse_timestamp("soon")
+        assert str(error.value) == "unparseable timestamp 'soon'"
+
 
 def normalised_timestamp(raw: str) -> datetime:
     """The parsing rule written out in full: strip, rewrite a trailing Z/z

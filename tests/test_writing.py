@@ -1,16 +1,19 @@
 """Writing: the bulk stamp formatter against `format_timestamp`, the chunked
-writer against a `csv.writer` oracle, and the memory one write holds."""
+writer against a `csv.writer` oracle, a label holding CR read back, and the
+memory one write holds."""
 from __future__ import annotations
 
 import csv
 import io
 import tracemalloc
 from datetime import datetime, timedelta, timezone, tzinfo
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from startrepair import ActivityInstanceLog, model, write_activity_instance_log
+from startrepair import (ActivityInstanceLog, model, read_instance_log,
+                         write_activity_instance_log)
 from startrepair.model import INSTANCE_HEADER, _stamp_texts, format_timestamp
 
 
@@ -68,13 +71,17 @@ def test_bulk_stamp_texts_equal_format_timestamp(column):
 
 
 def csv_oracle(log: ActivityInstanceLog) -> str:
-    """The log written by the csv module alone, row by row."""
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(INSTANCE_HEADER)
-    writer.writerows(zip(log.trace_ids, log.activities, map(format_timestamp, log.starts),
-                         map(format_timestamp, log.ends), log.resources))
-    return sink.getvalue()
+    """The log written by the csv module alone, row by row. Each row is
+    written with the terminator CRLF, so that the module quotes a field
+    holding a lone CR on every Python, and its CRLF is then made LF."""
+    texts = []
+    for row in chain([INSTANCE_HEADER],
+                     zip(log.trace_ids, log.activities, map(format_timestamp, log.starts),
+                         map(format_timestamp, log.ends), log.resources)):
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\r\n").writerow(row)
+        texts.append(sink.getvalue()[:-2] + "\n")
+    return "".join(texts)
 
 
 QUOTED = ("a,b", 'say "hi"', "cr\rhere", "two\nlines", '"', ",")
@@ -128,6 +135,17 @@ def test_non_string_label_is_written_as_the_csv_module_writes_it():
     sink = io.StringIO()
     write_activity_instance_log(log, sink)
     assert sink.getvalue() == csv_oracle(log)
+
+
+def test_label_holding_a_lone_cr_reads_back():
+    # on Python 3.11 and older, a csv module whose terminator is LF alone
+    # leaves a lone CR unquoted, and no reader can read such a row back
+    stamp = BASE.replace(tzinfo=timezone.utc)
+    log = ActivityInstanceLog.from_columns(("t\r1", "t2"), ("a\rb", "c\r\nd"), (stamp,) * 2,
+                                           (stamp,) * 2, ("r\rs", None))
+    sink = io.StringIO(newline="")
+    write_activity_instance_log(log, sink)
+    assert read_instance_log(io.StringIO(sink.getvalue(), newline="")) == log
 
 
 class Discarding:
