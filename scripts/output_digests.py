@@ -31,7 +31,13 @@ zone that is not a `datetime.timezone`; the last is as generated. So the writer 
 rows that the csv module must quote, a slice it formats stamp by stamp, and
 slices it joins and formats in bulk; the repaired log, read back with
 `datetime.timezone` zones, has slices of stamps with fractions and of two
-offsets. Report paths are normalised.
+offsets. The quoted-activities one reads the log with its concurrent
+activities renamed, Pack to a label holding `,` and `"` and Invoice to one
+holding a lone CR, so that the written relation must quote both.
+
+Each configuration also runs `repair --concurrency-file` on the relation that
+`concurrency --output` wrote; the script exits non-zero unless that repaired
+CSV equals the one from the discovered relation. Report paths are normalised.
 """
 from __future__ import annotations
 
@@ -67,6 +73,7 @@ CONFIGURATIONS = (
     ("tied-ends", "tied", ()),
     ("event-rows-merged", "merged", EVENT_FLAGS),
     ("quoted-labels", "quoted", ()),
+    ("quoted-activities", "activities", ()),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -182,6 +189,14 @@ def _quoted(log: ActivityInstanceLog) -> ActivityInstanceLog:
     return ActivityInstanceLog(map(edit, log.instances))
 
 
+def _renamed(log: ActivityInstanceLog) -> ActivityInstanceLog:
+    """The log with its concurrent activities renamed: Pack to a label
+    holding `,` and `"`, Invoice to one holding a lone CR."""
+    names = {"Pack": 'Pack "big", boxed', "Invoice": "Invoice\rdue"}
+    return ActivityInstanceLog(replace(i, activity=names.get(i.activity, i.activity))
+                               for i in log.instances)
+
+
 def digests(seed: int, traces: int, workdir: str):
     """Yield (configuration, artefact, sha256 hex digest)."""
     spec = GenSpec(seed=seed, trace_count=traces,
@@ -190,11 +205,11 @@ def digests(seed: int, traces: int, workdir: str):
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
              for name in ("truth", "instances", "events", "mixed", "noisy", "tied",
-                          "merged", "quoted")}
+                          "merged", "quoted", "activities")}
     for name, log in (("truth", truth), ("instances", corrupted),
                       ("mixed", _mixed_offsets(corrupted)),
                       ("tied", _mixed_offsets(_floored(corrupted))),
-                      ("quoted", _quoted(corrupted))):
+                      ("quoted", _quoted(corrupted)), ("activities", _renamed(corrupted))):
         with open(paths[name], "w", encoding="utf-8", newline="") as handle:
             write_activity_instance_log(log, handle)
     rows = _event_rows(corrupted)
@@ -214,6 +229,13 @@ def digests(seed: int, traces: int, workdir: str):
                              if flag in CONCURRENCY_FLAGS for arg in (flag, value)]
         _run("concurrency", "--input", paths[source], "--output", relation,
              *concurrency_flags)
+        # the written relation must read back as the one discovered
+        from_file = os.path.join(workdir, f"{name}-repaired-from-file.csv")
+        _run("repair", "--input", paths[source], "--output", from_file,
+             "--concurrency-file", relation, *flags)
+        if _read(from_file) != _read(repaired):
+            raise SystemExit(f"{name}: repair --concurrency-file of the written relation "
+                             "differs from repair with the discovered one")
         artefacts = {
             "repaired.csv": _read(repaired),
             "report.json": _read(report).replace(workdir.encode(), b"<dir>"),

@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import ActivityInstanceLog, ConfigurationError, LogFormatError
+from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, _write_table
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +144,7 @@ def load_concurrency(source) -> ConcurrencyRelation:
 
 def write_concurrency(relation: ConcurrencyRelation, sink) -> None:
     """Write one lexicographically sorted row per unordered pair to the text
-    stream `sink`, then flush it; the stream is left open."""
-    writer = csv.writer(sink, lineterminator="\n")
-    for a, b in relation.sorted_pairs():
-        writer.writerow((a, b))
-    sink.flush()
+    stream `sink` through `_write_table`, which flushes it and quotes labels
+    as in the repaired log, so that `load_concurrency` reads them back."""
+    columns = tuple(zip(*relation.sorted_pairs())) or ((), ())
+    _write_table(sink, None, columns, (None, None))

@@ -1,7 +1,6 @@
 """Histogram discretization of logs and 1-D Earth Mover's Distance between them."""
 from __future__ import annotations
 
-import csv
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from math import floor
 from operator import sub
 from typing import Mapping, Optional
 
-from .model import ActivityInstanceLog
+from .model import ActivityInstanceLog, _write_table
 
 HOUR = timedelta(hours=1)
 CYCLE_TIME_BINS = 100
@@ -174,8 +173,6 @@ def dump_histograms(directory: str, **histograms: Histogram) -> None:
     """Write one `<name>.csv` (bin,mass) per histogram into `directory`."""
     os.makedirs(directory, exist_ok=True)
     for name, histogram in histograms.items():
+        columns = tuple(zip(*sorted(histogram.masses.items()))) or ((), ())
         with open(os.path.join(directory, f"{name}.csv"), "w", newline="") as sink:
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(("bin", "mass"))
-            for index in sorted(histogram.masses):
-                writer.writerow((index, histogram.masses[index]))
+            _write_table(sink, ("bin", "mass"), columns, (None, None))

@@ -225,7 +225,6 @@ def _stamps(cells: Sequence[str]) -> list[datetime]:
 _CLOCK_MINUTES = {(m // 60, m % 60): f"{m // 60:02}:{m % 60:02}:" for m in range(1440)}
 _CLOCK_SECONDS = tuple(f"{s:02}" for s in range(60))
 _QUOTED = re.compile('[,"\r\n]')  # a label holding one goes through the csv module
-_EMPTY = {None: ""}.get  # a None resource's cell
 
 
 def _stamp_texts(stamps: Sequence[datetime]) -> list[str]:
@@ -261,15 +260,6 @@ def _stamp_texts(stamps: Sequence[datetime]) -> list[str]:
         texts += [map(_CLOCK_SECONDS.__getitem__, seconds), map(fractions.__getitem__, micros),
                   map(offsets.__getitem__, zones)]
     return list(map("".join, zip(*texts)))
-
-
-def _plain(labels: Iterable) -> bool:
-    """Whether the csv module writes each of `labels` as it is: every one is
-    a string holding none of `,`, `"`, CR and LF."""
-    try:
-        return not _QUOTED.search("".join(labels))
-    except TypeError:  # a label that is not a string; the csv module writes its str()
-        return False
 
 
 def _record_chunks(source):
@@ -459,33 +449,45 @@ def read_instance_log(source, mapping: ColumnMapping = INSTANCE_COLUMNS) -> Acti
     return ActivityInstanceLog.from_columns(*columns)
 
 
-def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
-    """Write the log as CSV with header `case_id,activity,start_time,end_time,resource`
-    and ISO-8601 timestamps with explicit offset to the text stream `sink`,
-    opened with `newline=""`, then flush it; the stream is left open.
+def _or_empty(labels: Sequence) -> list:
+    """A slice of labels, each None given as an empty cell."""
+    return list(map({None: ""}.get, labels, labels))
 
-    The columns are written in slices of `_CHUNK` rows, so the write's
-    transient memory is one slice's texts, however long the log. Each stamp
-    is written as `format_timestamp` gives it, the one formatting rule:
-    `_stamp_texts` formats a slice's column in bulk and equals that rule
-    stamp by stamp. A slice whose labels are strings holding none of `,`,
-    `"`, CR or LF, which the csv module would write as they are, is joined
-    with commas and written at once; any other slice goes through the csv
-    module, which makes every quoting decision. A None resource is an empty
-    cell on both paths. Rows end in LF; the csv module is given the
-    terminator CRLF, so that it quotes a field holding a lone CR, as a reader
-    needs, and each row's final CRLF is written as LF."""
+
+def _write_table(sink, header: Optional[Sequence[str]], columns: Sequence[Sequence],
+                 formats: Sequence) -> None:
+    """Write `header`, unless it is None, and the rows of `columns` as CSV to
+    the text stream `sink`, then flush it: the one writer of every CSV the
+    package writes. `formats` gives each column a function from a slice of
+    its values to their texts, or None to write them as they are. Each slice
+    of `_CHUNK` rows is formatted only when reached, so a write holds one
+    slice's texts. A slice whose labels, every column but a `_stamp_texts`
+    one, are strings free of `,`, `"`, CR and LF is written as joined rows.
+    Any other goes through the csv module, which writes a non-string as its
+    `str()`, under the terminator CRLF so that it quotes a lone CR; each
+    row's CRLF is written as LF."""
     writer = csv.writer(SimpleNamespace(write=lambda row: sink.write(row[:-2] + "\n")),
                         lineterminator="\r\n")
-    writer.writerow(INSTANCE_HEADER)
-    columns = _columns(log)
-    for at in range(0, len(log), _CHUNK):
-        traces, activities, starts, ends, resources = (column[at:at + _CHUNK]
-                                                       for column in columns)
-        resources = list(map(_EMPTY, resources, resources))
-        rows = zip(traces, activities, _stamp_texts(starts), _stamp_texts(ends), resources)
-        if _plain(chain(traces, activities, resources)):
-            sink.write("\n".join(map(",".join, rows)) + "\n")
+    if header is not None:
+        writer.writerow(header)
+    labels = [i for i, format in enumerate(formats) if format is not _stamp_texts]
+    for at in range(0, len(columns[0]), _CHUNK):
+        texts = [column[at:at + _CHUNK] if format is None else format(column[at:at + _CHUNK])
+                 for column, format in zip(columns, formats)]
+        try:
+            plain = not _QUOTED.search("".join(chain.from_iterable(texts[i] for i in labels)))
+        except TypeError:
+            plain = False
+        if plain:
+            sink.write("\n".join(map(",".join, zip(*texts))) + "\n")
         else:
-            writer.writerows(rows)
+            writer.writerows(zip(*texts))
     sink.flush()
+
+
+def write_activity_instance_log(log: ActivityInstanceLog, sink) -> None:
+    """Write the log as CSV with header `case_id,activity,start_time,end_time,resource`
+    to the text stream `sink`, opened with `newline=""`, through `_write_table`:
+    each stamp as `format_timestamp` gives it, and a None resource as an empty cell."""
+    _write_table(sink, INSTANCE_HEADER, _columns(log),
+                 (None, None, _stamp_texts, _stamp_texts, _or_empty))

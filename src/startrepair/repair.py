@@ -42,9 +42,11 @@ class RepairConfig:
             )
         for name in ("bot_resources", "instant_activities"):
             labels = getattr(self, name)
-            if isinstance(labels, str):  # would silently split into characters
+            # a bare string would split into characters, and None is no label
+            members = () if isinstance(labels, str) else frozenset(labels)
+            if isinstance(labels, str) or not all(isinstance(x, str) for x in members):
                 raise ConfigurationError(f"{name} must be a set of labels, got {labels!r}")
-            object.__setattr__(self, name, frozenset(labels))
+            object.__setattr__(self, name, members)
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,7 @@ def _anchors_in_end_order(log: ActivityInstanceLog, groups: dict,
 def _bot_or_instant(activity: str, resource: Optional[str],
                     config: RepairConfig) -> bool:
     """The bot/instant rule: the instance starts at its end, with no anchors."""
-    return activity in config.instant_activities or (
-        resource is not None and resource in config.bot_resources)
+    return activity in config.instant_activities or resource in config.bot_resources
 
 
 def _earliest(end: datetime, rat: Optional[datetime], ent: Optional[datetime],

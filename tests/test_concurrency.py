@@ -5,12 +5,13 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from startrepair import (
     ActivityInstance,
     ActivityInstanceLog,
+    ConcurrencyRelation,
     ConfigurationError,
     LogFormatError,
     OracleThresholds,
@@ -23,6 +24,12 @@ from startrepair.concurrency import write_concurrency
 
 from .conftest import ts
 from .strategies import instance_logs
+
+
+# labels holding `,`, `"`, CR or LF inside them; `load_concurrency` strips
+# every label, so only a label equal to its own strip reads back as written
+QUOTED_LABELS = st.text(st.sampled_from('ab ,"\r\n'), min_size=1, max_size=6).filter(
+    lambda label: label == label.strip())
 
 
 def counts_of(pairs: dict) -> Counter:
@@ -194,6 +201,14 @@ class TestLoadConcurrency:
         write_concurrency(relation, sink)
         assert sink.getvalue() == "A,B\nA,C\n"
         assert load_concurrency(io.StringIO(sink.getvalue())) == relation
+
+    @given(st.lists(st.tuples(QUOTED_LABELS, QUOTED_LABELS), max_size=6))
+    @example([("a\rb", "c")])
+    def test_written_relation_loads_back(self, pairs):
+        relation = ConcurrencyRelation(pairs)
+        sink = io.StringIO(newline="")
+        write_concurrency(relation, sink)
+        assert load_concurrency(io.StringIO(sink.getvalue(), newline="")) == relation
 
 
 class TestProperties:

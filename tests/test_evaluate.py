@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -15,7 +17,7 @@ from startrepair import (
     timestamp_histogram,
     wasserstein_1d,
 )
-from startrepair.evaluate import HOUR, trace_cycle_times
+from startrepair.evaluate import HOUR, dump_histograms, trace_cycle_times
 
 from .conftest import ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
@@ -120,6 +122,26 @@ class TestCycleTimeHistograms:
         ])
         _, hist = cycle_time_histograms(ref, other)
         assert hist.masses == {150: 1.0}
+
+    def test_grid_is_the_reference_range_alone(self):
+        # the other log's 5h cycle lies below the reference's 10h..110h
+        # range; it takes a negative bin and moves neither origin nor width
+        ref = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-01 00:00:00"),
+                             ts("2021-03-01 10:00:00"), "r"),
+            ActivityInstance("2", "a", ts("2021-03-01 00:00:00"),
+                             ts("2021-03-05 14:00:00"), "r"),
+        ])
+        other = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-01 00:00:00"),
+                             ts("2021-03-01 05:00:00"), "r"),
+        ])
+        ref_hist, other_hist = cycle_time_histograms(ref, other)
+        assert ref_hist.bin_width == other_hist.bin_width == 3600.0
+        assert ref_hist.origin == other_hist.origin == 36000.0
+        assert ref_hist.masses == {0: 1.0, 99: 1.0}
+        assert other_hist.masses == {-5: 1.0}
+        assert wasserstein_1d(ref_hist, other_hist) == 54.5  # 0.5 * 5 + 0.5 * 104
 
     def test_zero_range_falls_back_to_single_bin(self):
         log = ActivityInstanceLog([
@@ -246,6 +268,17 @@ class TestEvaluateLogs:
         ]
         content = (tmp_path / "hists" / "timestamp_reference.csv").read_text()
         assert content.startswith("bin,mass\n")
+        # more bins than one slice of the writer, negative, zero and large
+        # indexes, and masses whose text is their shortest repr
+        masses = {index: index / 7 for index in range(1, 700)}
+        masses.update({0: 0.1 + 0.2, -5: 1e300, -10**15: 0.0, 10**15: 2.0})
+        dump_histograms(str(tmp_path / "edges"), edges=histogram(masses))
+        expected = io.StringIO()
+        oracle = csv.writer(expected, lineterminator="\n")
+        oracle.writerow(("bin", "mass"))
+        oracle.writerows(sorted(masses.items()))
+        written = (tmp_path / "edges" / "edges.csv").read_bytes()
+        assert written == expected.getvalue().encode()
 
 
 class TestNoIndexWork:

@@ -320,9 +320,30 @@ class TestRepairStartTimes:
 
     @pytest.mark.parametrize("field", ["bot_resources", "instant_activities"])
     def test_bare_string_is_not_a_label_set(self, field):
-        with pytest.raises(ConfigurationError, match=field):
-            RepairConfig(**{field: "R04"})
-        assert getattr(RepairConfig(**{field: ["R04"]}), field) == frozenset({"R04"})
+        # a label that is not a string is refused too: None in bot_resources
+        # would make every unknown performer a bot
+        for labels in ("R04", ["R04", None], [None], ("R04", 4)):
+            with pytest.raises(ConfigurationError, match=field):
+                RepairConfig(**{field: labels})
+        for labels in (["R04"], iter(["R04"])):
+            assert getattr(RepairConfig(**{field: labels}), field) == frozenset({"R04"})
+
+    def test_duration_equal_to_its_cap_is_estimated(self):
+        # repaired durations of `a` are 1h and 3h: median 2h, so threshold 1.5
+        # caps at 3h, and a duration equal to its cap is not capped
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "s", ts("2021-03-07 08:00:00"),
+                             ts("2021-03-07 09:00:00"), "r"),
+            ActivityInstance("1", "a", ts("2021-03-07 09:30:00"),
+                             ts("2021-03-07 10:00:00"), "r"),
+            ActivityInstance("1", "a", ts("2021-03-07 12:30:00"),
+                             ts("2021-03-07 13:00:00"), "r"),
+        ])
+        config = RepairConfig(statistic="median", outlier_threshold=1.5)
+        outcome = repair_start_times(log, EMPTY, config)
+        assert outcome.rules == (RULE_NO_EVIDENCE, RULE_ESTIMATED, RULE_ESTIMATED)
+        assert outcome.estimates[1:] == (ts("2021-03-07 09:00:00"),
+                                         ts("2021-03-07 10:00:00"))
 
 
 class TestFirstInTraceLimitation:
