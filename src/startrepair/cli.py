@@ -290,8 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     gc.disable()
     try:
         return args.handler(args)
-    except (ConfigurationError, LogFormatError, OSError, json.JSONDecodeError,
-            ValueError, OverflowError, csv.Error) as exc:
+    except (ValueError, OverflowError, OSError, csv.Error) as exc:
         print(f"startrepair: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -27,24 +27,8 @@ class ConfigurationError(ValueError):
 
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 timestamp (``T`` or space separator, optional offset,
-    trailing ``Z`` accepted). Offset-free values are assumed UTC.
-
-    The cell is tried as given first; only when that fails is it stripped and
-    a trailing ``Z``/``z`` rewritten to ``+00:00``, which gives the same value
-    and offset on every input both forms accept."""
-    try:
-        ts = datetime.fromisoformat(raw)
-    except ValueError:
-        text = raw.strip()
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        try:
-            ts = datetime.fromisoformat(text)
-        except ValueError:
-            raise LogFormatError(f"unparseable timestamp {raw!r}") from None
-    if ts.tzinfo is None:
-        ts = datetime.combine(ts.date(), ts.time(), timezone.utc)
-    return ts
+    trailing ``Z`` accepted) as `_stamps` parses a column: offset-free is UTC."""
+    return _stamps([raw])[0]
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -201,19 +185,31 @@ class PairingSummary:
 
 
 _CHUNK = 512  # records decoded per bulk step, which bounds a read's transient memory
-_UTC = {None: timezone.utc}.get  # a stamp's zone, with parse_timestamp's UTC for none
+_UTC = {None: timezone.utc}.get  # a stamp's zone, with UTC for none
+
+
+def _stamp(raw: str) -> datetime:
+    """The cell rule: `raw` stripped, a trailing ``Z``/``z`` as ``+00:00``, by
+    `fromisoformat`, else LogFormatError. An offset-free value stays naive."""
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise LogFormatError(f"unparseable timestamp {raw!r}") from None
 
 
 def _stamps(cells: Sequence[str]) -> list[datetime]:
-    """`parse_timestamp` over a column of cells, in bulk. A naive stamp gets
-    UTC by the same `datetime.combine` rule, and an aware one keeps its zone,
-    so offset-free columns stay on the bulk path. Only a column with a cell
-    that `fromisoformat` rejects goes through `parse_timestamp` cell by cell,
-    which raises LogFormatError for an unparseable one."""
+    """The one timestamp parser, over a column of cells: by `fromisoformat` in
+    bulk, or, when it rejects a cell, by the cell rule `_stamp`, which raises
+    LogFormatError for an unparseable one. Either way a naive stamp then gets
+    UTC by one `datetime.combine` rule and an aware one keeps its zone, so an
+    offset-free column stays on the bulk path."""
     try:
         stamps = list(map(datetime.fromisoformat, cells))
     except ValueError:
-        return list(map(parse_timestamp, cells))
+        stamps = list(map(_stamp, cells))
     zones = list(map(attrgetter("tzinfo"), stamps))
     if None in zones:
         stamps = list(map(datetime.combine, map(datetime.date, stamps),

@@ -198,9 +198,8 @@ def typical_repaired_duration(
     if statistic == "median":
         return timedelta(seconds=statistics.median(d.total_seconds() for d in durations))
     if statistic == "mode":
-        buckets = Counter(floor(d.total_seconds()) for d in durations)
-        top = max(buckets.values())
-        return timedelta(seconds=min(s for s, n in buckets.items() if n == top))
+        return timedelta(seconds=min(statistics.multimode(
+            floor(d.total_seconds()) for d in durations)))
     raise ConfigurationError(f"unknown statistic: {statistic!r}")
 
 

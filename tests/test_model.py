@@ -86,7 +86,8 @@ cells = st.one_of(timestamp_cells(),
 
 
 class TestTimestampFastPath:
-    """`parse_timestamp` tries the cell as given before normalising it; the
+    """`parse_timestamp` and a one-row read both parse through `_stamps`: a
+    bulk `fromisoformat`, or the cell rule where that rejects a cell. The
     result must be the normalised rule's on every input, on every Python
     whose `fromisoformat` accepts a different set of strings."""
 
