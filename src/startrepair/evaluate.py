@@ -40,6 +40,12 @@ class Histogram:
         return sum(self.masses.values())
 
 
+def _histogram(indexes, origin: float, width: float) -> Histogram:
+    """The one builder of histogram masses: one unit per index, first-seen order."""
+    masses = {index: float(count) for index, count in Counter(indexes).items()}
+    return Histogram(origin, width, masses)
+
+
 def timestamp_histogram(log: ActivityInstanceLog, origin: datetime) -> Histogram:
     """Date-hour histogram of all start and end timestamps (2 per instance),
     in hour bins counted from `origin`; two logs given one origin are
@@ -47,10 +53,9 @@ def timestamp_histogram(log: ActivityInstanceLog, origin: datetime) -> Histogram
     if not log:
         raise ValueError("cannot discretize an empty log")
     # == (point - origin) // HOUR: a timedelta has 0 <= seconds < 86400, even negative
-    counts = Counter(delta.days * 24 + delta.seconds // 3600
-                     for delta in map(sub, chain(log.starts, log.ends), repeat(origin)))
-    masses = {index: float(count) for index, count in counts.items()}
-    return Histogram(origin.timestamp(), HOUR.total_seconds(), masses)
+    hours = (delta.days * 24 + delta.seconds // 3600
+             for delta in map(sub, chain(log.starts, log.ends), repeat(origin)))
+    return _histogram(hours, origin.timestamp(), HOUR.total_seconds())
 
 
 def trace_cycle_times(log: ActivityInstanceLog) -> dict[str, timedelta]:
@@ -69,25 +74,14 @@ def trace_cycle_times(log: ActivityInstanceLog) -> dict[str, timedelta]:
     return {trace: last - first for trace, (first, last) in spans.items()}
 
 
-def _cycle_histogram(cycle_seconds, origin: float, width: float) -> Histogram:
-    masses: dict[int, float] = {}
-    top = origin + CYCLE_TIME_BINS * width
-    for value in cycle_seconds:
-        index = floor((value - origin) / width)
-        # reference range is split into exactly CYCLE_TIME_BINS bins, so the
-        # last bin is right-closed; values beyond the range extrapolate freely
-        if index == CYCLE_TIME_BINS and value <= top:
-            index = CYCLE_TIME_BINS - 1
-        masses[index] = masses.get(index, 0.0) + 1.0
-    return Histogram(origin, width, masses)
-
-
 def cycle_time_histograms(
     reference: ActivityInstanceLog, other: ActivityInstanceLog
 ) -> tuple[Histogram, Histogram]:
     """Bin both logs' trace cycle times on a grid defined by the reference:
     its [min, max] range split into 100 equal bins of width W; the other log is
     discretized with the same origin and W (indices may fall outside [0, 100)).
+    One rule bins a cycle time v of either log: floor((v - origin) / W), with
+    100 taken to 99 if v <= origin + 100 W, so the last bin is right-closed.
 
     A zero-range reference (all cycle times equal) has no defined W; both logs
     are then binned with a 1-second width anchored at the shared value.
@@ -96,14 +90,16 @@ def cycle_time_histograms(
         raise ValueError("cannot discretize an empty log")
     ref_seconds = [ct.total_seconds() for ct in trace_cycle_times(reference).values()]
     other_seconds = [ct.total_seconds() for ct in trace_cycle_times(other).values()]
-    origin, top = min(ref_seconds), max(ref_seconds)
-    width = (top - origin) / CYCLE_TIME_BINS
-    if width == 0.0:
-        width = 1.0
-    return (
-        _cycle_histogram(ref_seconds, origin, width),
-        _cycle_histogram(other_seconds, origin, width),
-    )
+    origin = min(ref_seconds)
+    width = (max(ref_seconds) - origin) / CYCLE_TIME_BINS or 1.0
+    top = origin + CYCLE_TIME_BINS * width
+
+    def bin_of(value: float) -> int:
+        index = floor((value - origin) / width)
+        return CYCLE_TIME_BINS - 1 if index == CYCLE_TIME_BINS and value <= top else index
+
+    return (_histogram(map(bin_of, ref_seconds), origin, width),
+            _histogram(map(bin_of, other_seconds), origin, width))
 
 
 def wasserstein_1d(a: Histogram, b: Histogram) -> float:

@@ -317,6 +317,8 @@ def _decoded(source, mapping: ColumnMapping):
         what = ("trace id", "activity", "start time", "end time")
     required = [mapping.trace_id, mapping.activity, first, second]
     missing = [c for c in required if c not in header]
+    if mapping.resource not in (None, ColumnMapping.resource, *header):  # the default is optional
+        missing.append(mapping.resource)
     if missing:
         raise ConfigurationError(f"mapped columns missing from header: {missing}")
     position = {name: i for i, name in enumerate(header)}

@@ -543,12 +543,14 @@ class TestRejectedSettings:
           "lifecycle", "--start-column", "nonexistent"), None,
          "mapping names columns of two input shapes: set start_time+end_time or "
          "timestamp+lifecycle, not both"),
+        (("repair", "--input", "{log}", "--output", "{out}", "--resource-column", "nope"),
+         None, "mapped columns missing from header: ['nope']"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "delay_range": [10, 5]}',
          "bad delay_range: (10, 5)"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "missing_resource_rate": 1.5}',
          "missing_resource_rate must be in [0, 1]"),
     ], ids=["config-list", "concurrency-no-input", "empty-start-column",
-            "event-and-instance-columns",
+            "event-and-instance-columns", "missing-resource-column",
             "reversed-delay-range", "missing-resource-rate-above-1"])
     def test_one_line_error(self, shipping_file, tmp_path, capsys, argv, text, message):
         paths = {"log": shipping_file, "out": tmp_path / "out.csv",

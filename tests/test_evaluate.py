@@ -119,9 +119,12 @@ class TestCycleTimeHistograms:
         other = ActivityInstanceLog([
             ActivityInstance("1", "a", ts("2021-03-01 00:00:00"),
                              ts("2021-03-07 06:00:00"), "r"),  # 150h cycle
+            # 100h30m: index 100, just past the right-closed last bin's edge
+            ActivityInstance("2", "a", ts("2021-03-01 00:00:00"),
+                             ts("2021-03-05 04:30:00"), "r"),
         ])
         _, hist = cycle_time_histograms(ref, other)
-        assert hist.masses == {150: 1.0}
+        assert hist.masses == {100: 1.0, 150: 1.0}
 
     def test_grid_is_the_reference_range_alone(self):
         # the other log's 5h cycle lies below the reference's 10h..110h

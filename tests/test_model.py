@@ -215,16 +215,45 @@ ROW = "23,Register Order,2021-03-07 12:59:21,2021-03-07 13:05:37,Fry\n"
 # instance rows with the start column as its stamp and the end column as its
 # lifecycle, since a rule that does not look at a cell's meaning holds for
 # either shape.
+STAMPS_AS_EVENTS = ColumnMapping(
+    start_time=None, end_time=None, timestamp="start_time", lifecycle="end_time")
 ROW_READERS = {
     "read_instance_log": lambda source: list(read_instance_log(source)),
-    "parse_event_log": lambda source: parse_event_log(source, ColumnMapping(
-        start_time=None, end_time=None, timestamp="start_time", lifecycle="end_time")),
+    "parse_event_log": lambda source: parse_event_log(source, STAMPS_AS_EVENTS),
 }
 
 
 @pytest.fixture(params=sorted(ROW_READERS))
 def read_rows(request):
     return lambda text: ROW_READERS[request.param](io.StringIO(text))
+
+
+# each reader, a mapping under which it reads HEADER's columns, and the getter
+# of a read row's resource
+RESOURCE_READERS = {
+    "read_instance_log": (read_instance_log, INSTANCE_COLUMNS, operator.attrgetter("resource")),
+    "parse_event_log": (parse_event_log, STAMPS_AS_EVENTS, operator.itemgetter(4)),
+}
+
+
+@pytest.mark.parametrize("reader, mapping, resource_of", RESOURCE_READERS.values(),
+                         ids=RESOURCE_READERS)
+class TestResourceColumn:
+    """Only the default resource column, `resource`, may be absent from the header."""
+
+    def test_renamed_column_absent_from_header_is_refused(self, reader, mapping,
+                                                          resource_of):
+        renamed = replace(mapping, resource="nope")
+        with pytest.raises(ConfigurationError,
+                           match=r"^mapped columns missing from header: \['nope'\]$"):
+            reader(io.StringIO(HEADER + ROW), renamed)
+        rows = reader(io.StringIO(HEADER.replace("resource", "nope") + ROW), renamed)
+        assert [resource_of(row) for row in rows] == ["Fry"]
+
+    def test_default_column_may_be_absent(self, reader, mapping, resource_of):
+        rows = reader(io.StringIO(HEADER.replace(",resource", "")
+                                  + ROW.replace(",Fry", "") * 2), mapping)
+        assert [resource_of(row) for row in rows] == [None, None]
 
 
 class TestRowRules:
