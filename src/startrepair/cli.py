@@ -78,25 +78,25 @@ def _load_config_file(path: Optional[str], keys) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The subcommand's settings: its config-file values merged with its
-    flags, which win when given."""
+    """The subcommand's given settings: its config-file values merged with its
+    flags, which win when given, and each label list made a label set."""
     resolved = _load_config_file(args.config, args.setting_keys)
     for key in args.setting_keys:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    return resolved
+    return {key: _label_set(value) if CONFIG_KEYS[key] is _LABELS else value
+            for key, value in resolved.items()}
 
 
-def _given(resolved: dict, *keys: str) -> dict:
-    """The settings among `keys` that a flag or the config file gave."""
-    return {key: resolved[key] for key in keys if key in resolved}
+def _settings(cls, resolved: dict):
+    """A `cls` config object from the given settings named as its fields."""
+    return cls(**{field.name: resolved[field.name]
+                  for field in dataclasses.fields(cls) if field.name in resolved})
 
 
 def _label_set(value) -> frozenset:
     """A comma-separated or JSON list of labels, each stripped; empty ones are dropped."""
-    if value is None:
-        return frozenset()
     if isinstance(value, str):
         value = value.split(",")
     elif not all(isinstance(v, str) for v in value):
@@ -146,10 +146,6 @@ def _read_log(path: str, mapping: ColumnMapping):
         return read_instance_log(handle, mapping), None
 
 
-def _thresholds(resolved: dict) -> conc.OracleThresholds:
-    return conc.OracleThresholds(**_given(resolved, "df_threshold", "balance_threshold"))
-
-
 def _relation_for(log: ActivityInstanceLog, resolved: dict,
                   thresholds: conc.OracleThresholds) -> conc.ConcurrencyRelation:
     if resolved.get("concurrency_file"):
@@ -171,12 +167,8 @@ def _run_repair(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     if "input" not in resolved or "output" not in resolved:
         raise ConfigurationError("repair needs --input and --output")
-    thresholds = _thresholds(resolved)
-    config = RepairConfig(
-        bot_resources=_label_set(resolved.get("bot_resources")),
-        instant_activities=_label_set(resolved.get("instant_activities")),
-        **_given(resolved, "statistic", "outlier_threshold", "allow_later_start"),
-    )
+    thresholds = _settings(conc.OracleThresholds, resolved)
+    config = _settings(RepairConfig, resolved)
     log, summary = _read_log(resolved["input"], _mapping_from(resolved))
     relation = _relation_for(log, resolved, thresholds)
     outcome = repair_start_times(log, relation, config)
@@ -228,7 +220,7 @@ def _run_concurrency(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     if "input" not in resolved:
         raise ConfigurationError("concurrency needs --input")
-    thresholds = _thresholds(resolved)
+    thresholds = _settings(conc.OracleThresholds, resolved)
     log, _ = _read_log(resolved["input"], _mapping_from(resolved))
     relation = _relation_for(log, resolved, thresholds)
     if resolved.get("output"):

@@ -115,7 +115,8 @@ def discover_from_log(
 def load_concurrency(source) -> ConcurrencyRelation:
     """Load a user-supplied relation from a two-column, headerless CSV.
 
-    The result is symmetrized and reflexive rows are dropped with a warning.
+    The result is symmetrized. A reflexive row is logged as a warning, and
+    `ConcurrencyRelation` drops it, as it drops every reflexive pair.
     """
     records = csv.reader(source)
     pairs = []
@@ -135,7 +136,6 @@ def load_concurrency(source) -> ConcurrencyRelation:
                 raise LogFormatError(f"line {line_number}: empty activity label")
             if a == b:
                 log.warning("line %d: reflexive pair (%s, %s) dropped", line_number, a, b)
-                continue
             pairs.append((a, b))
     except csv.Error as exc:
         raise LogFormatError(f"line {records.line_num}: {exc}") from None

@@ -77,8 +77,8 @@ class GenSpec:
                                      f"got {self.stages!r}")
         stages = tuple((stage,) if isinstance(stage, str) else tuple(stage)
                        for stage in self.stages)
-        if not stages or any(not stage for stage in stages):
-            raise ConfigurationError("stages must be non-empty")
+        if not stages or not all(stage and all(stage) for stage in stages):
+            raise ConfigurationError("stages and their activity labels must be non-empty")
         object.__setattr__(self, "stages", stages)
         for name in ("duration_range", "delay_range", "arrival_gap_range"):
             low, high = getattr(self, name)

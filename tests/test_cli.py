@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 
@@ -10,6 +11,7 @@ from startrepair.cli import main
 from startrepair.repair import repair_start_times
 
 from .conftest import SHIPPING_ROWS, event_csv, shipping_csv
+from .test_evaluate import EMD_OTHER_ROWS, EMD_PAIR_REPORT, EMD_REFERENCE_ROWS
 
 
 @pytest.fixture
@@ -150,6 +152,25 @@ class TestEvaluateCommand:
         assert run("evaluate", "--reference", shipping_file,
                    "--other", shipping_file, "--format", "text") == 0
         assert "timestamp EMD" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_hand_built_pair_report(self, tmp_path, capsys, form):
+        paths = []
+        for name, rows in (("reference", EMD_REFERENCE_ROWS), ("other", EMD_OTHER_ROWS)):
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text("case_id,activity,start_time,end_time,resource\n"
+                                 + "".join(",".join(row) + "\n" for row in rows))
+        assert run("evaluate", "--reference", paths[0], "--other", paths[1],
+                   "--format", form) == 0
+        out = capsys.readouterr().out
+        if form == "json":
+            assert json.loads(out) == dataclasses.asdict(EMD_PAIR_REPORT)
+        else:
+            assert out == ("timestamp EMD (hours):      1.000000\n"
+                           "cycle-time EMD (bin units): 83.500000\n"
+                           "reference mass: 6 (5 bins)\n"
+                           "other mass:     2 (2 bins)\n"
+                           "cycle bin width: 54.000 s\n")
 
     def test_empty_log(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -549,9 +570,12 @@ class TestRejectedSettings:
          "bad delay_range: (10, 5)"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "missing_resource_rate": 1.5}',
          "missing_resource_rate must be in [0, 1]"),
+        (GENERATE, '{"seed": 1, "trace_count": 2, "stages": [""]}',
+         "stages and their activity labels must be non-empty"),
     ], ids=["config-list", "concurrency-no-input", "empty-start-column",
             "event-and-instance-columns", "missing-resource-column",
-            "reversed-delay-range", "missing-resource-rate-above-1"])
+            "reversed-delay-range", "missing-resource-rate-above-1",
+            "empty-activity-label"])
     def test_one_line_error(self, shipping_file, tmp_path, capsys, argv, text, message):
         paths = {"log": shipping_file, "out": tmp_path / "out.csv",
                  "json": tmp_path / "settings.json"}

@@ -181,6 +181,8 @@ class TestLoadConcurrency:
     def test_reflexive_row_dropped(self, caplog):
         relation = load_concurrency(io.StringIO("A,A\n"))
         assert len(relation) == 0
+        assert [(record.levelname, record.getMessage()) for record in caplog.records] == [
+            ("WARNING", "line 1: reflexive pair (A, A) dropped")]
 
     def test_mirrored_rows_collapse(self):
         relation = load_concurrency(io.StringIO("A,B\nB,A\n"))

@@ -17,7 +17,7 @@ from startrepair import (
     timestamp_histogram,
     wasserstein_1d,
 )
-from startrepair.evaluate import HOUR, dump_histograms, trace_cycle_times
+from startrepair.evaluate import HOUR, EmdReport, dump_histograms, trace_cycle_times
 
 from .conftest import ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
@@ -46,6 +46,31 @@ near_hours = st.builds(
     st.integers(min_value=-2000, max_value=2000),
     st.one_of(st.integers(min_value=-10**6, max_value=10**6),
               st.integers(min_value=-3600 * 10**6, max_value=3600 * 10**6)))
+
+# A hand-built pair, every stamp on 2021-03-01 UTC. Its report, worked by hand:
+# - Timestamps, in hour bins from 08:00. The reference's starts and ends fall
+#   in bins 0, 1, 4 and 1, 2, 5: {0: 1, 1: 2, 2: 1, 4: 1, 5: 1}, mass 6 in 5
+#   bins. The other's fall in 0 and 3: mass 2 in 2 bins. Their CDFs differ by
+#   1/3, 0, 1/6, 1/3 and 1/6 over the unit gaps from bin 0 to 5: EMD 1.
+# - Cycle times. The reference's are 2.5 h (t1) and 1 h (t2), so the origin is
+#   3600 s and W = (9000 - 3600) / 100 = 54 s. 1 h takes bin 0, and 2.5 h
+#   takes the right-closed bin 99. The other's 3 h takes floor(7200 / 54) =
+#   133. Half the mass moves 99 bins and all of it 34 more: EMD 49.5 + 34 = 83.5.
+EMD_REFERENCE_ROWS = [
+    ("t1", "a", "2021-03-01 08:00:00", "2021-03-01 09:00:00", "r"),
+    ("t1", "b", "2021-03-01 09:00:00", "2021-03-01 10:30:00", "r"),
+    ("t2", "a", "2021-03-01 12:00:00", "2021-03-01 13:00:00", "r"),
+]
+EMD_OTHER_ROWS = [("t1", "a", "2021-03-01 08:00:00", "2021-03-01 11:00:00", "r")]
+EMD_PAIR_REPORT = EmdReport(timestamp_emd=1.0, cycle_time_emd=83.5, reference_mass=6.0,
+                            other_mass=2.0, bin_width_seconds=54.0, reference_bins=5,
+                            other_bins=2)
+
+
+def log_of(rows) -> ActivityInstanceLog:
+    return ActivityInstanceLog(ActivityInstance(trace, activity, ts(start), ts(end), resource)
+                               for trace, activity, start, end, resource in rows)
+
 
 small_masses = st.dictionaries(
     st.integers(min_value=0, max_value=5),
@@ -261,6 +286,10 @@ class TestEvaluateLogs:
         ])
         report = evaluate_logs(make(2), make(9))
         assert report.timestamp_emd == pytest.approx(7.0, abs=1e-12)
+
+    def test_hand_built_pair(self):
+        report = evaluate_logs(log_of(EMD_REFERENCE_ROWS), log_of(EMD_OTHER_ROWS))
+        assert report == EMD_PAIR_REPORT
 
     def test_dump_histograms(self, shipping_log, tmp_path):
         evaluate_logs(shipping_log, shipping_log, dump_dir=str(tmp_path / "hists"))

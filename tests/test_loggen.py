@@ -44,6 +44,12 @@ class TestGenSpec:
         with pytest.raises(ConfigurationError, match="stages must be a sequence"):
             GenSpec(seed=1, trace_count=1, stages="Reg")
 
+    @pytest.mark.parametrize("stages", [(("a", ""),), ("",)])
+    def test_empty_activity_label_rejected(self, stages):
+        # generate would fail on it with a log-format error instead
+        with pytest.raises(ConfigurationError, match="activity labels must be non-empty"):
+            GenSpec(seed=1, trace_count=1, stages=stages)
+
     def test_from_dict_normalizes_stages(self):
         spec = GenSpec.from_dict(
             {"seed": 3, "trace_count": 2, "stages": ["a", ["b", "c"], "d"]}

@@ -2,12 +2,14 @@
 config-file key mean the same, and no setting has a second, hidden form."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from startrepair import repair
 from startrepair.cli import CONFIG_KEYS
+from startrepair.concurrency import OracleThresholds
 
 from .conftest import SHIPPING_ROWS, shipping_csv
 from .test_cli import assert_one_line_error, run
@@ -45,6 +47,11 @@ def test_every_setting_has_a_sample_or_is_a_path():
     paths = {"input", "output", "report", "concurrency_file"}
     assert set(SAMPLES) | paths == set(CONFIG_KEYS)
     assert SAMPLES["statistic"] in repair.STATISTICS
+
+
+@pytest.mark.parametrize("cls", [repair.RepairConfig, OracleThresholds])
+def test_every_config_field_is_a_setting_of_its_name(cls):
+    assert {field.name for field in dataclasses.fields(cls)} <= set(CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
