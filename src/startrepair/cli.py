@@ -41,7 +41,7 @@ _NUMBER = (float, "a number", {"type": float})
 _SWITCH = (bool, "true or false", {"action": "store_const", "const": True})
 _LABELS = ((str, list), "a string or a list of strings",
            {"help": "comma-separated labels"})
-_STATISTIC = (str, "a string", {"choices": STATISTICS})
+_STATISTIC = (str, "a string", {"help": " or ".join(STATISTICS)})
 
 # every setting, with its kind: the keys of the flat JSON config file and the
 # flags of the subcommands that take them; flags override the file
@@ -56,9 +56,9 @@ CONFIG_KEYS = {
 
 
 def _load_config_file(path: Optional[str], keys) -> dict:
-    """Config-file settings among `keys`, typed as the flags would give them;
-    null means not given. An integer given to a number setting is read from
-    its digits as a float, as the setting's flag reads it."""
+    """Config-file settings among `keys`, typed as the flags would give them,
+    a label list holding only strings; null means not given. An integer given
+    to a number setting is read from its digits as a float, as its flag reads it."""
     if path is None:
         return {}
     data = _json_file(path)
@@ -71,7 +71,8 @@ def _load_config_file(path: Optional[str], keys) -> dict:
         types, description, _ = CONFIG_KEYS[key]
         if types is float and type(value) is int:
             value = data[key] = float(str(value))  # 2 -> 2.0, 10**400 -> inf
-        if value is not None and not isinstance(value, types):
+        if (value is not None and not isinstance(value, types)
+                or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
             raise ConfigurationError(
                 f"config key {key!r} must be {description}, got {json.dumps(value)}")
     return {key: value for key, value in data.items() if value is not None}
@@ -79,29 +80,21 @@ def _load_config_file(path: Optional[str], keys) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The subcommand's given settings: its config-file values merged with its
-    flags, which win when given, and each label list made a label set."""
+    flags, which win when given, and each comma-separated label string split
+    into a list; the config objects check and normalise the values."""
     resolved = _load_config_file(args.config, args.setting_keys)
     for key in args.setting_keys:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    return {key: _label_set(value) if CONFIG_KEYS[key] is _LABELS else value
-            for key, value in resolved.items()}
+    return {key: value.split(",") if CONFIG_KEYS[key] is _LABELS and isinstance(value, str)
+            else value for key, value in resolved.items()}
 
 
 def _settings(cls, resolved: dict):
     """A `cls` config object from the given settings named as its fields."""
     return cls(**{field.name: resolved[field.name]
                   for field in dataclasses.fields(cls) if field.name in resolved})
-
-
-def _label_set(value) -> frozenset:
-    """A comma-separated or JSON list of labels, each stripped; empty ones are dropped."""
-    if isinstance(value, str):
-        value = value.split(",")
-    elif not all(isinstance(v, str) for v in value):
-        raise ConfigurationError(f"label lists must hold strings, got {json.dumps(value)}")
-    return frozenset(filter(None, map(str.strip, value)))
 
 
 def _mapping_from(resolved: dict) -> ColumnMapping:
@@ -197,7 +190,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     other, _ = _read_log(args.other, mapping)
     report = ev.evaluate_logs(reference, other, dump_dir=args.dump_histograms)
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+        _emit_report(dataclasses.asdict(report), None)
     else:
         print(f"timestamp EMD (hours):      {report.timestamp_emd:.6f}")
         print(f"cycle-time EMD (bin units): {report.cycle_time_emd:.6f}")

@@ -48,11 +48,13 @@ class GenSpec:
     """Generation parameters. Identical specs always produce identical logs.
 
     `stages` is the activity template each trace follows: one entry per stage,
-    each a string naming one activity or a sequence run concurrently. Ground
-    truth is built so every start equals max(previous same-resource end,
-    previous-stage end, trace arrival); the corrupted twin delays each recorded
-    start by a sampled amount of non-recorded processing time, never past the
-    end. `multitasking` drops the resource-serialization constraint to test
+    each a string naming one activity or a sequence run concurrently. Each
+    label is stripped, as every reader strips its cells, so that a written log
+    reads back equal to the generated one. Ground truth is built so every
+    start equals max(previous same-resource end, previous-stage end, trace
+    arrival); the corrupted twin delays each recorded start by a sampled
+    amount of non-recorded processing time, never past the end.
+    `multitasking` drops the resource-serialization constraint to test
     graceful degradation.
     """
 
@@ -75,8 +77,8 @@ class GenSpec:
         if isinstance(self.stages, str):  # would silently split into letters
             raise ConfigurationError(f"stages must be a sequence of stages, "
                                      f"got {self.stages!r}")
-        stages = tuple((stage,) if isinstance(stage, str) else tuple(stage)
-                       for stage in self.stages)
+        stages = tuple((stage.strip(),) if isinstance(stage, str)
+                       else tuple(map(str.strip, stage)) for stage in self.stages)
         if not stages or not all(stage and all(stage) for stage in stages):
             raise ConfigurationError("stages and their activity labels must be non-empty")
         object.__setattr__(self, "stages", stages)

@@ -26,6 +26,9 @@ STATISTICS = ("median", "mode")  # typical repaired duration for the outlier cap
 
 @dataclass(frozen=True)
 class RepairConfig:
+    """Repair settings. Each bot or instant label is stripped, as input cells
+    are, and empty ones are dropped, so that every label can match a cell."""
+
     statistic: str = "median"  # one of STATISTICS
     outlier_threshold: Optional[float] = None  # > 1; None disables capping
     bot_resources: frozenset = frozenset()
@@ -46,7 +49,7 @@ class RepairConfig:
             members = () if isinstance(labels, str) else frozenset(labels)
             if isinstance(labels, str) or not all(isinstance(x, str) for x in members):
                 raise ConfigurationError(f"{name} must be a set of labels, got {labels!r}")
-            object.__setattr__(self, name, members)
+            object.__setattr__(self, name, frozenset(filter(None, map(str.strip, members))))
 
 
 @dataclass(frozen=True)

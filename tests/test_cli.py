@@ -3,9 +3,14 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import startrepair
 from startrepair import ActivityInstance, cli
 from startrepair.cli import main
 from startrepair.repair import repair_start_times
@@ -256,7 +261,8 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("settings, quoted", [
         ({"input": 5}, "config key 'input' must be a string, got 5"),
-        ({"bot_resources": ["a", 3]}, 'label lists must hold strings, got ["a", 3]'),
+        ({"bot_resources": ["a", 3]}, "config key 'bot_resources' must be a string "
+                                      'or a list of strings, got ["a", 3]'),
     ], ids=["text", "labels"])
     def test_error_quotes_the_value_as_written(self, shipping_file, tmp_path, capsys,
                                                settings, quoted):
@@ -572,10 +578,14 @@ class TestRejectedSettings:
          "missing_resource_rate must be in [0, 1]"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "stages": [""]}',
          "stages and their activity labels must be non-empty"),
+        (("repair", "--input", "{log}", "--output", "{out}", "--statistic", "mean"), None,
+         "unknown statistic: 'mean'"),
+        (("repair", "--input", "{log}", "--output", "{out}", "--config", "{json}"),
+         '{"statistic": "mean"}', "unknown statistic: 'mean'"),
     ], ids=["config-list", "concurrency-no-input", "empty-start-column",
             "event-and-instance-columns", "missing-resource-column",
             "reversed-delay-range", "missing-resource-rate-above-1",
-            "empty-activity-label"])
+            "empty-activity-label", "unknown-statistic-flag", "unknown-statistic-file"])
     def test_one_line_error(self, shipping_file, tmp_path, capsys, argv, text, message):
         paths = {"log": shipping_file, "out": tmp_path / "out.csv",
                  "json": tmp_path / "settings.json"}
@@ -584,3 +594,15 @@ class TestRejectedSettings:
         assert run(*(part.format(**paths) for part in argv)) == 1
         assert capsys.readouterr().err == f"startrepair: error: {message}\n"
         assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("module", ["startrepair", "startrepair.cli"])
+def test_module_entry_point_runs_main(module):
+    # `python -m` runs the package's __main__.py or the module's __main__
+    # block; without the block, `-m startrepair.cli` exits 0 having done nothing
+    package_root = str(Path(startrepair.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", module, "concurrency"],
+                          env={**os.environ, "PYTHONPATH": package_root},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "startrepair: error: concurrency needs --input\n")

@@ -13,6 +13,7 @@ from startrepair import (
     GenSpec,
     RepairConfig,
     generate,
+    read_instance_log,
     repair_start_times,
     write_activity_instance_log,
 )
@@ -49,6 +50,13 @@ class TestGenSpec:
         # generate would fail on it with a log-format error instead
         with pytest.raises(ConfigurationError, match="activity labels must be non-empty"):
             GenSpec(seed=1, trace_count=1, stages=stages)
+
+    def test_labels_stripped_so_the_written_log_reads_back(self):
+        # every reader strips its cells, so an unstripped label would not
+        # survive a write and a read
+        truth, _ = generate(GenSpec(seed=1, trace_count=2, stages=((" a",), " b ")))
+        assert set(truth.activities) == {"a", "b"}
+        assert read_instance_log(io.StringIO(log_bytes(truth).decode(), newline="")) == truth
 
     def test_from_dict_normalizes_stages(self):
         spec = GenSpec.from_dict(

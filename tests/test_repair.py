@@ -325,7 +325,7 @@ class TestRepairStartTimes:
         for labels in ("R04", ["R04", None], [None], ("R04", 4)):
             with pytest.raises(ConfigurationError, match=field):
                 RepairConfig(**{field: labels})
-        for labels in (["R04"], iter(["R04"])):
+        for labels in (["R04"], iter(["R04"]), [" R04 ", ""]):
             assert getattr(RepairConfig(**{field: labels}), field) == frozenset({"R04"})
 
     def test_duration_equal_to_its_cap_is_estimated(self):
