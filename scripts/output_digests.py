@@ -33,7 +33,12 @@ slices it joins and formats in bulk; the repaired log, read back with
 `datetime.timezone` zones, has slices of stamps with fractions and of two
 offsets. The quoted-activities one reads the log with its concurrent
 activities renamed, Pack to a label holding `,` and `"` and Invoice to one
-holding a lone CR, so that the written relation must quote both.
+holding a lone CR, so that the written relation must quote both. The
+crlf-late-quote one reads the log written with CRLF line endings and the
+trace id of every 5th row in the last third of its rows quoted, so that the
+reader splits the first rows as plain chunks and switches to the csv module
+mid-file; the script exits non-zero unless its repaired CSV equals the
+default configuration's.
 
 Each configuration also runs `repair --concurrency-file` on the relation that
 `concurrency --output` wrote; the script exits non-zero unless that repaired
@@ -74,6 +79,7 @@ CONFIGURATIONS = (
     ("event-rows-merged", "merged", EVENT_FLAGS),
     ("quoted-labels", "quoted", ()),
     ("quoted-activities", "activities", ()),
+    ("crlf-late-quote", "crlf", ()),
 )
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
@@ -197,6 +203,17 @@ def _renamed(log: ActivityInstanceLog) -> ActivityInstanceLog:
                                for i in log.instances)
 
 
+def _crlf_late_quote(text: str) -> str:
+    """The CSV `text`, written with LF endings and no quoted cell, with CRLF
+    endings and the trace id of every 5th row in the last third of its rows
+    quoted."""
+    lines = text.split("\n")[:-1]
+    for n in range(len(lines) * 2 // 3, len(lines), 5):
+        trace, rest = lines[n].split(",", 1)
+        lines[n] = f'"{trace}",{rest}'
+    return "\r\n".join(lines) + "\r\n"
+
+
 def digests(seed: int, traces: int, workdir: str):
     """Yield (configuration, artefact, sha256 hex digest)."""
     spec = GenSpec(seed=seed, trace_count=traces,
@@ -205,7 +222,7 @@ def digests(seed: int, traces: int, workdir: str):
     truth, corrupted = generate(spec)
     paths = {name: os.path.join(workdir, f"{name}.csv")
              for name in ("truth", "instances", "events", "mixed", "noisy", "tied",
-                          "merged", "quoted", "activities")}
+                          "merged", "quoted", "activities", "crlf")}
     for name, log in (("truth", truth), ("instances", corrupted),
                       ("mixed", _mixed_offsets(corrupted)),
                       ("tied", _mixed_offsets(_floored(corrupted))),
@@ -216,6 +233,9 @@ def digests(seed: int, traces: int, workdir: str):
     _write_event_rows(rows, paths["events"])
     _write_event_rows(_noisy(rows), paths["noisy"])
     _write_event_rows(_merged(rows), paths["merged"])
+    with open(paths["instances"], encoding="utf-8", newline="") as source, \
+            open(paths["crlf"], "w", encoding="utf-8", newline="") as sink:
+        sink.write(_crlf_late_quote(source.read()))
 
     for name, source, flags in CONFIGURATIONS:
         repaired = os.path.join(workdir, f"{name}-repaired.csv")
@@ -236,6 +256,10 @@ def digests(seed: int, traces: int, workdir: str):
         if _read(from_file) != _read(repaired):
             raise SystemExit(f"{name}: repair --concurrency-file of the written relation "
                              "differs from repair with the discovered one")
+        if source == "crlf" and _read(repaired) != _read(
+                os.path.join(workdir, "default-repaired.csv")):
+            raise SystemExit(f"{name}: the repaired CSV differs from the default "
+                             "configuration's")
         artefacts = {
             "repaired.csv": _read(repaired),
             "report.json": _read(report).replace(workdir.encode(), b"<dir>"),

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, islice
+from operator import eq, itemgetter, lt
 from typing import Iterable
 
 from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, _write_table
 
 log = logging.getLogger(__name__)
+_trace, _label, _trace_end = itemgetter(0), itemgetter(3), itemgetter(0, 2)
 
 
 @dataclass(frozen=True)
@@ -62,29 +66,30 @@ def count_directly_follows(log_: ActivityInstanceLog) -> Counter:
     """Count ordered adjacency within traces (sorted by start, ties by end then
     label) plus interval overlaps, which add evidence in both directions.
 
-    Overlaps come from a start-ordered sweep that scans forward from each
-    instance only while the next one starts before it ends, so a trace of k
-    instances costs O(k log k + overlapping pairs) rather than O(k^2).
+    One sort orders the rows `(trace, start, end, label)`, and adjacent rows
+    of one trace are counted in bulk. The overlap scan is entered only at a
+    row whose next row starts before it ends, and goes forward only while the
+    next one does, so a trace of k instances costs O(k log k + overlapping
+    pairs) rather than O(k^2). A later row is below a row's `(trace, end)`
+    pair exactly when it is of the same trace and starts before that end; one
+    that starts at that end is above it, being the longer tuple. So the scan
+    never compares the stamps of two traces, which may differ in kind, naive
+    in one and aware in another.
     """
-    by_trace: dict[str, list] = defaultdict(list)
-    for trace, start, end, activity in zip(log_.trace_ids, log_.starts, log_.ends,
-                                           log_.activities):
-        by_trace[trace].append((start, end, activity))
-    counts = Counter()
-    for ordered in by_trace.values():
-        ordered.sort()
-        for (_, _, previous), (_, _, current) in zip(ordered, ordered[1:]):
-            counts[(previous, current)] += 1
-        size = len(ordered)
-        for i, (_, first_end, first) in enumerate(ordered):
-            for j in range(i + 1, size):
-                second_start, _, second = ordered[j]
-                # every later instance starts later still; before that, the
-                # (start, end) order already gives first.start < second.end
-                if second_start >= first_end:
-                    break
-                counts[(first, second)] += 1
-                counts[(second, first)] += 1
+    rows = sorted(zip(log_.trace_ids, log_.starts, log_.ends, log_.activities))
+    later = partial(islice, rows, 1, None)  # each row's next one
+    counts = Counter(compress(zip(map(_label, rows), map(_label, later())),
+                              map(eq, map(_trace, rows), map(_trace, later()))))
+    for i in compress(range(len(rows)), map(lt, later(), map(_trace_end, rows))):
+        close, first = _trace_end(rows[i]), rows[i][3]
+        for j in range(i + 1, len(rows)):
+            # every later row starts later still; before that, the (start,
+            # end) order already gives first.start < second.end
+            if not rows[j] < close:
+                break
+            second = rows[j][3]
+            counts[first, second] += 1
+            counts[second, first] += 1
     return counts
 
 

@@ -184,8 +184,9 @@ class PairingSummary:
     dropped_other_lifecycle: int = 0
 
 
-_CHUNK = 512  # records decoded per bulk step, which bounds a read's transient memory
+_CHUNK = 512  # lines or records per bulk step, which bounds a read's transient memory
 _UTC = {None: timezone.utc}.get  # a stamp's zone, with UTC for none
+_last = itemgetter(-1)
 
 
 def _stamp(raw: str) -> datetime:
@@ -258,20 +259,52 @@ def _stamp_texts(stamps: Sequence[datetime]) -> list[str]:
     return list(map("".join, zip(*texts)))
 
 
-def _record_chunks(source):
-    """The csv records of the text stream `source`, in lists of at most
-    `_CHUNK`. A fault the csv module raises, such as a field over its size
-    limit or a binary stream's bytes, becomes a LogFormatError naming the
-    line. It is raised after the list of the records read before it, so that
-    a bad row among those still reports first. The stream is left open."""
-    records = csv.reader(source)
+def _plain_cells(lines: list, width: int) -> Optional[list]:
+    """The cells of the chunk `lines`, row after row, when it is plain; else
+    None. A plain chunk's lines are strings, each ending in `\\n` or `\\r\\n`
+    and holding no other CR or LF, no `"` and no NUL, none longer than the
+    csv module's field limit, and each with exactly `width` fields, at least
+    two, so none is blank. The csv module reads such a line as its text split
+    at commas, so these cells are its records' cells, except that each row's
+    last cell keeps the line ending, which stripping a cell drops. This is the
+    reader's mirror of `_write_table`'s plain slices."""
+    if width < 2:
+        return None
+    try:
+        text = ",".join(lines)
+        endings = "".join(map(_last, lines))
+    except (TypeError, IndexError):  # a line that is not a string, or is empty
+        return None
+    limit = csv.field_size_limit()
+    if ('"' in text or "\0" in text or endings != "\n" * len(lines)
+            or text.count("\n") != len(lines)
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    # each line now holds one LF, at its end, and no cell spans two lines, so
+    # the cells at `width - 1::width` hold every LF only when each line has
+    # `width` cells
+    cells = text.split(",")
+    if (len(cells) != width * len(lines)
+            or "".join(cells[width - 1::width]).count("\n") != len(lines)):
+        return None
+    return cells
+
+
+def _record_chunks(records, offset: int):
+    """The records of the csv reader `records`, in lists of at most `_CHUNK`.
+    A fault the csv module raises, such as a field over its size limit or a
+    binary stream's bytes, becomes a LogFormatError naming the line, counted
+    from `offset` lines before the reader's first. It is raised after the
+    list of the records read before it, so that a bad row among those still
+    reports first."""
     full = True
     while full:
         chunk, fault = [], None
         try:
             chunk.extend(islice(records, _CHUNK))  # keeps what it read before a fault
         except csv.Error as exc:
-            fault = LogFormatError(f"line {records.line_num}: {exc}")
+            fault = LogFormatError(f"line {offset + records.line_num}: {exc}")
         full = len(chunk) == _CHUNK
         if chunk:
             yield chunk
@@ -280,8 +313,7 @@ def _record_chunks(source):
 
 
 def _decoded(source, mapping: ColumnMapping):
-    """Decode the CSV rows of `source` under `mapping`, one chunk of at most
-    `_CHUNK` records at a time.
+    """Decode the CSV rows of `source` under `mapping`, one chunk at a time.
 
     Yields per chunk the columns `(traces, activities, firsts, seconds,
     resources)` of its data rows. `firsts` and `seconds` are the start and end
@@ -294,21 +326,34 @@ def _decoded(source, mapping: ColumnMapping):
     resources are one string object, shared through a memo that lives for
     this read only, so a log keeps one string per distinct label.
 
-    One decoder, `decode`, holds every row rule. It checks and converts a
+    The csv module reads the header. After it, `source` is read in chunks of
+    `_CHUNK` lines, by iterating it as the csv module does, so that a
+    stream's own `newline` setting decides the lines. A plain chunk
+    (`_plain_cells`) is split at its commas, and its mapped columns are taken
+    as slices of its cells. The first chunk that is not plain, and the rest of
+    the input with it, goes through the csv module in chunks of `_CHUNK`
+    records, since a quoted field may span lines; its `line N` messages count
+    the lines split before it.
+
+    One decoder, `convert`, holds every cell rule. It checks and converts a
     chunk a column at a time, by C-level calls, so no row of valid input runs
     code of its own, and raises the first failing check's message: extra
-    fields, then missing ones, then the first empty mapped cell in column
+    fields, then missing ones (both checked by `picked` on csv records, the
+    only ones that can have them), then the first empty mapped cell in column
     order, then the stamps, start column first, then a start after its end.
-    When a chunk fails, the same decoder is run again on each of its rows
-    alone, in row order, and the first bad row raises its message with its
-    row number; only bad input pays for that walk. The records of at most two
-    chunks, the one decoded and the one read next, are alive at once.
+    When a chunk fails, its rows are decoded again one at a time, in row
+    order, and the first bad row raises its message with its row number; only
+    bad input pays for that walk. At most two chunks are alive at once, the
+    one decoded and the one read next.
     """
-    chunks = _record_chunks(source)
-    records = next(chunks, None)
-    if records is None:
-        raise LogFormatError("input has no header row")
-    header = records.pop(0)
+    lines = iter(source)
+    records = csv.reader(lines)
+    try:
+        header = next(records)
+    except StopIteration:
+        raise LogFormatError("input has no header row") from None
+    except csv.Error as exc:
+        raise LogFormatError(f"line {records.line_num}: {exc}") from None
     if mapping.is_event_per_row:
         first, second = mapping.timestamp, mapping.lifecycle
         what = ("trace id", "activity", "timestamp", "lifecycle")
@@ -324,18 +369,24 @@ def _decoded(source, mapping: ColumnMapping):
     position = {name: i for i, name in enumerate(header)}
     columns = [position[c] for c in required]
     resource = position.get(mapping.resource)
-    pick = itemgetter(*columns) if resource is None else itemgetter(*columns, resource)
-    width, reach = len(header), max(columns + [resource or 0])
+    if resource is not None:
+        columns.append(resource)
+    pick = itemgetter(*columns)
+    width, reach = len(header), max(columns)
     stamped = (2,) if mapping.is_event_per_row else (2, 3)
     share = {"": None}.setdefault  # an empty resource cell is None
 
-    def decode(rows):
+    def picked(rows):
+        """The mapped columns of csv records, each long enough to hold them."""
         widths = set(map(len, rows))
         if max(widths) > width:
             raise LogFormatError("malformed CSV row (extra fields)")
         if min(widths) <= reach:
             raise LogFormatError("malformed CSV row (missing fields)")
-        cells = [tuple(map(str.strip, column)) for column in zip(*map(pick, rows))]
+        return zip(*map(pick, rows))
+
+    def convert(mapped):
+        cells = [tuple(map(str.strip, column)) for column in mapped]
         for name, column in zip(what, cells):
             if not all(column):
                 raise LogFormatError(f"empty {name}")
@@ -347,25 +398,40 @@ def _decoded(source, mapping: ColumnMapping):
             list(map(ActivityInstance, cells[0], cells[1], *stamps))  # the first bad row raises
         traces, activities = (list(map(share, column, column)) for column in cells[:2])
         resources = (list(map(share, cells[4], cells[4])) if resource is not None
-                     else [None] * len(rows))
+                     else [None] * len(traces))
         return traces, activities, *stamps, resources
 
+    def first_bad(rows):
+        """Raise the error of the first row of `rows` that fails alone."""
+        for number, row in enumerate(rows, row_number):
+            try:
+                convert(picked([row]))
+            except LogFormatError as exc:
+                raise LogFormatError(f"row {number}: {exc}") from None
+
     row_number = 2  # of the chunk's first data row
-    while records is not None:
+    lines_read = records.line_num  # before the chunk
+    chunk = list(islice(lines, _CHUNK))
+    while chunk and (cells := _plain_cells(chunk, width)) is not None:
+        try:
+            decoded = convert([cells[i::width] for i in columns])
+        except LogFormatError:
+            first_bad([cells[at:at + width] for at in range(0, len(cells), width)])
+            raise
+        row_number += len(chunk)
+        lines_read += len(chunk)
+        yield decoded
+        chunk = list(islice(lines, _CHUNK))
+    for records in _record_chunks(csv.reader(chain(chunk, lines)), lines_read):
         rows = list(filter(None, records))  # a blank line is an empty record
         if rows:
             try:
-                decoded = decode(rows)
+                decoded = convert(picked(rows))
             except LogFormatError:
-                for number, row in enumerate(rows, row_number):
-                    try:
-                        decode([row])
-                    except LogFormatError as exc:
-                        raise LogFormatError(f"row {number}: {exc}") from None
+                first_bad(rows)
                 raise
             row_number += len(rows)
             yield decoded
-        records = next(chunks, None)
 
 
 def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[tuple]:

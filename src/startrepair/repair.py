@@ -46,8 +46,12 @@ class RepairConfig:
         for name in ("bot_resources", "instant_activities"):
             labels = getattr(self, name)
             # a bare string would split into characters, and None is no label
-            members = () if isinstance(labels, str) else frozenset(labels)
-            if isinstance(labels, str) or not all(isinstance(x, str) for x in members):
+            try:
+                members = () if isinstance(labels, str) else frozenset(labels)
+            except TypeError:  # not iterable, or holding an unhashable value
+                members = None
+            if (isinstance(labels, str) or members is None
+                    or not all(isinstance(x, str) for x in members)):
                 raise ConfigurationError(f"{name} must be a set of labels, got {labels!r}")
             object.__setattr__(self, name, frozenset(filter(None, map(str.strip, members))))
 

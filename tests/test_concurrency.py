@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from datetime import datetime
 from itertools import combinations
 
 import pytest
@@ -113,6 +114,43 @@ class TestCountDirectlyFollows:
         ])
         counts = count_directly_follows(log)
         assert counts == Counter(expected)
+        assert counts == pairwise_directly_follows(log)
+
+    def test_traces_of_aware_and_naive_stamps(self):
+        # trace 1's stamps are aware and trace 2's naive, which cannot be
+        # ordered against each other; only stamps of one trace are compared
+        def naive(text):
+            return datetime.fromisoformat(text)
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
+                             ts("2021-03-07 13:00:00"), "r"),
+            ActivityInstance("1", "b", ts("2021-03-07 12:30:00"),
+                             ts("2021-03-07 14:00:00"), "r"),
+            ActivityInstance("2", "c", naive("2021-03-07 12:10:00"),
+                             naive("2021-03-07 12:20:00"), "r"),
+            ActivityInstance("2", "a", naive("2021-03-07 12:15:00"),
+                             naive("2021-03-07 12:40:00"), "r"),
+        ])
+        counts = count_directly_follows(log)
+        assert counts == Counter({("a", "b"): 2, ("b", "a"): 1,
+                                  ("c", "a"): 2, ("a", "c"): 1})
+        assert counts == pairwise_directly_follows(log)
+
+    def test_nothing_is_counted_across_traces(self):
+        # trace 1's last row ends after trace 2's first row starts, and the
+        # sort puts them next to each other
+        log = ActivityInstanceLog([
+            ActivityInstance("2", "r", ts("2021-03-07 12:30:00"),
+                             ts("2021-03-07 12:45:00"), "r"),
+            ActivityInstance("1", "p", ts("2021-03-07 12:00:00"),
+                             ts("2021-03-07 12:20:00"), "r"),
+            ActivityInstance("2", "s", ts("2021-03-07 12:50:00"),
+                             ts("2021-03-07 13:10:00"), "r"),
+            ActivityInstance("1", "q", ts("2021-03-07 12:10:00"),
+                             ts("2021-03-07 13:00:00"), "r"),
+        ])
+        counts = count_directly_follows(log)
+        assert counts == Counter({("p", "q"): 2, ("q", "p"): 1, ("r", "s"): 1})
         assert counts == pairwise_directly_follows(log)
 
 

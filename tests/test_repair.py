@@ -328,6 +328,15 @@ class TestRepairStartTimes:
         for labels in (["R04"], iter(["R04"]), [" R04 ", ""]):
             assert getattr(RepairConfig(**{field: labels}), field) == frozenset({"R04"})
 
+    @pytest.mark.parametrize("field", ["bot_resources", "instant_activities"])
+    @pytest.mark.parametrize("labels", [None, 5, [{"a": 1}]],
+                             ids=["none", "int", "unhashable"])
+    def test_label_set_that_frozenset_refuses(self, field, labels):
+        # not iterable, or holding an unhashable value: a configuration error
+        # that names the field, not the TypeError of `frozenset(labels)`
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a set of labels"):
+            RepairConfig(**{field: labels})
+
     def test_duration_equal_to_its_cap_is_estimated(self):
         # repaired durations of `a` are 1h and 3h: median 2h, so threshold 1.5
         # caps at 3h, and a duration equal to its cap is not capped
