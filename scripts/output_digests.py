@@ -38,7 +38,11 @@ crlf-late-quote one reads the log written with CRLF line endings and the
 trace id of every 5th row in the last third of its rows quoted, so that the
 reader splits the first rows as plain chunks and switches to the csv module
 mid-file; the script exits non-zero unless its repaired CSV equals the
-default configuration's.
+default configuration's. The cap2-bot-file one gives cap2-bot's settings
+through a `--config` file, its threshold as the integer 2 and its bot as a
+list; the script exits non-zero unless its repaired CSV equals cap2-bot's.
+Last, one `generate --spec` run sets every spec key, its
+`missing_resource_rate` as the integer 1, and both written logs are digested.
 
 Each configuration also runs `repair --concurrency-file` on the relation that
 `concurrency --output` wrote; the script exits non-zero unless that repaired
@@ -51,6 +55,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import tempfile
 from dataclasses import replace
@@ -63,7 +68,8 @@ from startrepair.cli import main as cli_main
 from startrepair.model import format_timestamp
 
 EVENT_FLAGS = ("--timestamp-column", "timestamp", "--lifecycle-column", "lifecycle")
-# (name, input, repair flags); `concurrency` takes the threshold and column flags
+# (name, input, repair flags, in which `{workdir}` is the working directory);
+# `concurrency` takes the threshold and column flags
 CONFIGURATIONS = (
     ("default", "instances", ()),
     ("cap2-bot", "instances", ("--outlier-threshold", "2", "--bot-resources", "R04")),
@@ -80,7 +86,17 @@ CONFIGURATIONS = (
     ("quoted-labels", "quoted", ()),
     ("quoted-activities", "activities", ()),
     ("crlf-late-quote", "crlf", ()),
+    ("cap2-bot-file", "instances", ("--config", "{workdir}/cap2-bot.json")),
 )
+# configuration -> the one whose repaired CSV it must equal
+SAME_REPAIR = {"crlf-late-quote": "default", "cap2-bot-file": "cap2-bot"}
+# the settings of cap2-bot-file's --config file
+CAP2_BOT = {"outlier_threshold": 2, "bot_resources": ["R04"]}
+# the keys of the generator spec other than `seed` and `trace_count`
+SPEC = {"stages": ["Open", ["Pick", "Pay"], "Ship"], "resource_count": 4,
+        "duration_range": [30, 900], "delay_range": [0, 600], "arrival_gap_range": [10, 300],
+        "missing_resource_rate": 1, "multitasking": True,
+        "first_arrival": "2021-06-01T09:00:00+02:00"}
 CONCURRENCY_FLAGS = {"--df-threshold", "--balance-threshold", *EVENT_FLAGS[::2]}
 
 
@@ -236,8 +252,11 @@ def digests(seed: int, traces: int, workdir: str):
     with open(paths["instances"], encoding="utf-8", newline="") as source, \
             open(paths["crlf"], "w", encoding="utf-8", newline="") as sink:
         sink.write(_crlf_late_quote(source.read()))
+    with open(os.path.join(workdir, "cap2-bot.json"), "w", encoding="utf-8") as sink:
+        json.dump(CAP2_BOT, sink)
 
     for name, source, flags in CONFIGURATIONS:
+        flags = tuple(flag.format(workdir=workdir) for flag in flags)
         repaired = os.path.join(workdir, f"{name}-repaired.csv")
         report = os.path.join(workdir, f"{name}-report.json")
         relation = os.path.join(workdir, f"{name}-concurrency.csv")
@@ -256,10 +275,10 @@ def digests(seed: int, traces: int, workdir: str):
         if _read(from_file) != _read(repaired):
             raise SystemExit(f"{name}: repair --concurrency-file of the written relation "
                              "differs from repair with the discovered one")
-        if source == "crlf" and _read(repaired) != _read(
-                os.path.join(workdir, "default-repaired.csv")):
-            raise SystemExit(f"{name}: the repaired CSV differs from the default "
-                             "configuration's")
+        if name in SAME_REPAIR and _read(repaired) != _read(
+                os.path.join(workdir, f"{SAME_REPAIR[name]}-repaired.csv")):
+            raise SystemExit(f"{name}: the repaired CSV differs from the "
+                             f"{SAME_REPAIR[name]} configuration's")
         artefacts = {
             "repaired.csv": _read(repaired),
             "report.json": _read(report).replace(workdir.encode(), b"<dir>"),
@@ -272,6 +291,15 @@ def digests(seed: int, traces: int, workdir: str):
         }
         for artefact, data in artefacts.items():
             yield name, artefact, hashlib.sha256(data).hexdigest()
+
+    spec, logs = os.path.join(workdir, "spec.json"), os.path.join(workdir, "generated")
+    with open(spec, "w", encoding="utf-8") as sink:
+        json.dump({"seed": seed, "trace_count": traces, **SPEC}, sink)
+    _run("generate", "--spec", spec, "--out-truth", f"{logs}-truth.csv",
+         "--out-corrupted", f"{logs}-corrupted.csv")
+    for log in ("truth", "corrupted"):
+        yield "generate-spec", f"{log}.csv", hashlib.sha256(
+            _read(f"{logs}-{log}.csv")).hexdigest()
 
 
 def main() -> None:

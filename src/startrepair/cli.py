@@ -16,10 +16,15 @@ from . import loggen
 from .model import (
     EVENT_COLUMNS,
     INSTANCE_COLUMNS,
+    LABELS,
+    NUMBER,
+    SWITCH,
+    TEXT,
     ActivityInstanceLog,
     ColumnMapping,
     ConfigurationError,
     LogFormatError,
+    checked_settings,
     parse_event_log,
     read_instance_log,
     to_activity_instances,
@@ -34,60 +39,34 @@ _COLUMN_KEYS = {
     "timestamp_column": "timestamp", "lifecycle_column": "lifecycle",
     "resource_column": "resource",
 }
-# a setting's kind: (JSON types of its config-file value, their description,
-# the argparse keywords of its --key-name flag)
-_TEXT = (str, "a string", {})
-_NUMBER = (float, "a number", {"type": float})
-_SWITCH = (bool, "true or false", {"action": "store_const", "const": True})
-_LABELS = ((str, list), "a string or a list of strings",
-           {"help": "comma-separated labels"})
-_STATISTIC = (str, "a string", {"help": " or ".join(STATISTICS)})
-
 # every setting, with its kind: the keys of the flat JSON config file and the
 # flags of the subcommands that take them; flags override the file
 CONFIG_KEYS = {
-    "input": _TEXT, "output": _TEXT, "report": _TEXT,
-    **dict.fromkeys(_COLUMN_KEYS, _TEXT),
-    "statistic": _STATISTIC, "outlier_threshold": _NUMBER,
-    "bot_resources": _LABELS, "instant_activities": _LABELS,
-    "allow_later_start": _SWITCH,
-    "balance_threshold": _NUMBER, "df_threshold": _NUMBER, "concurrency_file": _TEXT,
+    "input": TEXT, "output": TEXT, "report": TEXT, **dict.fromkeys(_COLUMN_KEYS, TEXT),
+    "statistic": TEXT, "outlier_threshold": NUMBER,
+    "bot_resources": LABELS, "instant_activities": LABELS,
+    "allow_later_start": SWITCH,
+    "balance_threshold": NUMBER, "df_threshold": NUMBER, "concurrency_file": TEXT,
 }
-
-
-def _load_config_file(path: Optional[str], keys) -> dict:
-    """Config-file settings among `keys`, typed as the flags would give them,
-    a label list holding only strings; null means not given. An integer given
-    to a number setting is read from its digits as a float, as its flag reads it."""
-    if path is None:
-        return {}
-    data = _json_file(path)
-    if not isinstance(data, dict):
-        raise ConfigurationError("config file must hold a flat JSON object")
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {unknown}")
-    for key, value in data.items():
-        types, description, _ = CONFIG_KEYS[key]
-        if types is float and type(value) is int:
-            value = data[key] = float(str(value))  # 2 -> 2.0, 10**400 -> inf
-        if (value is not None and not isinstance(value, types)
-                or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
-            raise ConfigurationError(
-                f"config key {key!r} must be {description}, got {json.dumps(value)}")
-    return {key: value for key, value in data.items() if value is not None}
+# the argparse keywords of a --key-name flag, by its setting's kind, or by the
+# setting for the one whose flag says more than its kind
+_FLAGS = {NUMBER: {"type": float}, SWITCH: {"action": "store_const", "const": True},
+          LABELS: {"help": "comma-separated labels"},
+          "statistic": {"help": " or ".join(STATISTICS)}}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The subcommand's given settings: its config-file values merged with its
-    flags, which win when given, and each comma-separated label string split
-    into a list; the config objects check and normalise the values."""
-    resolved = _load_config_file(args.config, args.setting_keys)
-    for key in args.setting_keys:
+    """The subcommand's given settings: its config-file values, checked as
+    `CONFIG_KEYS` says, merged with its flags, which win when given, and each
+    comma-separated label string split into a list; the config objects check
+    and normalise the values."""
+    resolved = ({} if args.config is None else
+                checked_settings(_json_file(args.config), args.setting_kinds, "config file"))
+    for key in args.setting_kinds:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    return {key: value.split(",") if CONFIG_KEYS[key] is _LABELS and isinstance(value, str)
+    return {key: value.split(",") if CONFIG_KEYS[key] is LABELS and isinstance(value, str)
             else value for key, value in resolved.items()}
 
 
@@ -228,9 +207,10 @@ def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
     """`--config` plus one `--key-name` flag per setting, typed by its kind;
     `keys` are also the only settings the subcommand's config file may hold."""
     parser.add_argument("--config")
-    parser.set_defaults(setting_keys=tuple(keys))
+    parser.set_defaults(setting_kinds={key: CONFIG_KEYS[key] for key in keys})
     for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"), **CONFIG_KEYS[key][2])
+        parser.add_argument("--" + key.replace("_", "-"),
+                            **_FLAGS.get(key, _FLAGS.get(CONFIG_KEYS[key], {})))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,45 +1,24 @@
 """Deterministic synthetic log generator with known ground-truth start times."""
 from __future__ import annotations
 
-import json
 import random
-from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstanceLog, ConfigurationError, LogFormatError, parse_timestamp
+from .model import (INTEGER, NUMBER, RANGE, STAGES, SWITCH, TIMESTAMP, ActivityInstanceLog,
+                    ConfigurationError, checked_settings)
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_stage(value) -> bool:
-    return isinstance(value, str) or (
-        isinstance(value, list) and all(isinstance(v, str) for v in value))
-
-
-_INTEGER = ("an integer", _is_integer, None)
-_RANGE = ("a [low, high] pair of integers",
-          lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_integer, v)),
-          tuple)
-# generator spec key -> (what its JSON value must be, the test of the value,
-# its conversion to the GenSpec field, if any); README lists the same keys
+# generator spec key -> its kind; README lists the same keys
 SPEC_KEYS = {
-    "seed": _INTEGER, "trace_count": _INTEGER, "resource_count": _INTEGER,
-    "stages": ("a list of activities or lists of activities",
-               lambda v: isinstance(v, list) and all(map(_is_stage, v)), None),
-    "duration_range": _RANGE, "delay_range": _RANGE, "arrival_gap_range": _RANGE,
-    "missing_resource_rate": ("a number",
-                              lambda v: _is_integer(v) or isinstance(v, float), None),
-    "multitasking": ("true or false", lambda v: isinstance(v, bool), None),
-    "first_arrival": ("an ISO 8601 timestamp", lambda v: isinstance(v, str),
-                      parse_timestamp),
+    "seed": INTEGER, "trace_count": INTEGER, "resource_count": INTEGER, "stages": STAGES,
+    "duration_range": RANGE, "delay_range": RANGE, "arrival_gap_range": RANGE,
+    "missing_resource_rate": NUMBER, "multitasking": SWITCH, "first_arrival": TIMESTAMP,
 }
 
 
@@ -101,26 +80,15 @@ class GenSpec:
         return ConcurrencyRelation(pairs)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GenSpec":
-        """A spec from JSON values, each checked and converted as `SPEC_KEYS` says."""
-        if not isinstance(data, dict):
-            raise ConfigurationError("bad generator spec: expected a JSON object")
-        unknown = sorted(set(data) - set(SPEC_KEYS))
-        if unknown:
-            raise ConfigurationError(f"bad generator spec: unknown keys {unknown}")
-        fields = {}
-        for key, value in data.items():
-            description, valid, convert = SPEC_KEYS[key]
-            with suppress(LogFormatError):  # a first_arrival that is no timestamp
-                if valid(value):
-                    fields[key] = convert(value) if convert else value
-                    continue
-            raise ConfigurationError(f"bad generator spec: {key!r} must be "
-                                     f"{description}, got {json.dumps(value)}")
-        try:
-            return cls(**fields)
-        except TypeError as exc:  # a required key is missing
-            raise ConfigurationError(f"bad generator spec: {exc}") from None
+    def from_dict(cls, data) -> "GenSpec":
+        """A spec from a JSON object, each value checked and converted as
+        `SPEC_KEYS` says; a null value counts as not given."""
+        values = checked_settings(data, SPEC_KEYS, "generator spec")
+        missing = [field.name for field in fields(cls)
+                   if field.default is MISSING and field.name not in values]
+        if missing:
+            raise ConfigurationError(f"bad generator spec: missing keys {missing}")
+        return cls(**values)
 
 
 def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:

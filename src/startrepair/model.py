@@ -1,9 +1,12 @@
-"""Activity-instance data model, CSV ingestion, and start/end pairing."""
+"""Activity-instance data model, CSV ingestion, start/end pairing, and the
+checker of JSON settings."""
 from __future__ import annotations
 
 import csv
+import json
 import re
-from collections import defaultdict, deque
+from collections import defaultdict, deque, namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -36,6 +39,47 @@ def format_timestamp(ts: datetime) -> str:
     stamp's own offset. This is the one formatting rule; the writer's bulk
     path, `_stamp_texts`, gives exactly its text."""
     return ts.isoformat(sep=" ")
+
+
+# the kind of a JSON setting: what its value must be, the test of the value,
+# and its conversion, if any. A number is an int or a float, never a bool, and
+# an int is read from its digits: 2 as 2.0, 10**400 as inf
+Kind = namedtuple("Kind", "description valid convert", defaults=(None,))
+TEXT = Kind("a string", lambda v: isinstance(v, str))
+NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+              lambda v: float(str(v)))
+SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
+LABELS = Kind("a string or a list of strings", lambda v: TEXT.valid(v) or (
+    isinstance(v, list) and all(map(TEXT.valid, v))))
+INTEGER = Kind("an integer", lambda v: NUMBER.valid(v) and isinstance(v, int))
+RANGE = Kind("a [low, high] pair of integers",
+             lambda v: isinstance(v, list) and len(v) == 2 and all(map(INTEGER.valid, v)), tuple)
+STAGES = Kind("a list of activities or lists of activities",
+              lambda v: isinstance(v, list) and all(map(LABELS.valid, v)))
+TIMESTAMP = Kind("an ISO 8601 timestamp", TEXT.valid, parse_timestamp)
+
+
+def checked_settings(data, kinds: dict, subject: str) -> dict:
+    """The settings of the JSON object `data`, each checked and converted as
+    its `Kind` in `kinds` says; a null value counts as not given. A fault is a
+    ConfigurationError that begins `bad {subject}: `."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"bad {subject}: expected a JSON object")
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise ConfigurationError(f"bad {subject}: unknown keys {unknown}")
+    settings = {}
+    for key, value in data.items():
+        if value is None:
+            continue
+        description, valid, convert = kinds[key]
+        with suppress(LogFormatError):  # a timestamp's text that is no timestamp
+            if valid(value):
+                settings[key] = convert(value) if convert else value
+                continue
+        raise ConfigurationError(
+            f"bad {subject}: {key!r} must be {description}, got {json.dumps(value)}")
+    return settings
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
 from itertools import compress
-from math import floor, isfinite
+from math import floor, inf
 from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import ActivityInstance, ActivityInstanceLog, ConfigurationError, _by_end
+from .model import NUMBER, ActivityInstance, ActivityInstanceLog, ConfigurationError, _by_end
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -39,10 +39,12 @@ class RepairConfig:
         if self.statistic not in STATISTICS:
             raise ConfigurationError(f"unknown statistic: {self.statistic!r}")
         threshold = self.outlier_threshold
-        if threshold is not None and not (isfinite(threshold) and threshold > 1):
+        if threshold is not None and not (NUMBER.valid(threshold) and 1 < threshold < inf):
             raise ConfigurationError(
-                f"outlier threshold must be finite and > 1, got {threshold}"
-            )
+                f"outlier_threshold must be finite and > 1, got {threshold!r}")
+        if not isinstance(self.allow_later_start, bool):
+            raise ConfigurationError(
+                f"allow_later_start must be True or False, got {self.allow_later_start!r}")
         for name in ("bot_resources", "instant_activities"):
             labels = getattr(self, name)
             # a bare string would split into characters, and None is no label

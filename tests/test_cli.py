@@ -260,8 +260,8 @@ class TestConfigValues:
         assert not out.exists()
 
     @pytest.mark.parametrize("settings, quoted", [
-        ({"input": 5}, "config key 'input' must be a string, got 5"),
-        ({"bot_resources": ["a", 3]}, "config key 'bot_resources' must be a string "
+        ({"input": 5}, "bad config file: 'input' must be a string, got 5"),
+        ({"bot_resources": ["a", 3]}, "bad config file: 'bot_resources' must be a string "
                                       'or a list of strings, got ["a", 3]'),
     ], ids=["text", "labels"])
     def test_error_quotes_the_value_as_written(self, shipping_file, tmp_path, capsys,
@@ -562,7 +562,7 @@ class TestRejectedSettings:
 
     @pytest.mark.parametrize("argv, text, message", [
         (("repair", "--input", "{log}", "--output", "{out}", "--config", "{json}"),
-         "[1, 2]", "config file must hold a flat JSON object"),
+         "[1, 2]", "bad config file: expected a JSON object"),
         (("concurrency",), None, "concurrency needs --input"),
         (("repair", "--input", "{log}", "--output", "{out}", "--start-column="), None,
          "mapping needs either start_time+end_time or timestamp+lifecycle columns"),

@@ -74,6 +74,11 @@ class TestGenSpec:
         for log in (truth, corrupted):
             assert set(log.activities) == {"Register", "Pack", "Invoice", "Deliver"}
 
+    @pytest.mark.parametrize("key", sorted(set(SPEC_KEYS) - {"seed", "trace_count"}))
+    def test_null_key_takes_its_default(self, key):
+        assert GenSpec.from_dict({"seed": 1, "trace_count": 2, key: None}) == GenSpec(
+            seed=1, trace_count=2)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             GenSpec.from_dict({"seed": 3, "trace_count": 2, "bogus": 1})
@@ -152,6 +157,8 @@ class TestSpecKeys:
         ({"seed": 1, "trace_count": 2, "first_arrival": 5}, "'first_arrival' must be"),
         ({"seed": 1, "trace_count": 2, "first_arrival": "soon"},
          "'first_arrival' must be an ISO 8601 timestamp, got \"soon\""),
+        ({"trace_count": 2}, "missing keys ['seed']\n"),
+        ({"seed": None, "trace_count": 2}, "missing keys ['seed']\n"),
     ])
     def test_bad_spec_is_a_one_line_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"

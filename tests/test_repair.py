@@ -309,6 +309,24 @@ class TestRepairStartTimes:
                                      RepairConfig(allow_later_start=True))
         assert outcome.per_instance[1].repaired_start == ts("2021-03-07 13:00:00")
 
+    def test_allow_later_start_must_be_a_bool(self):
+        # b's enablement is a's end, 10:00, an hour after b's recorded start
+        log = ActivityInstanceLog([
+            ActivityInstance("1", "a", ts("2021-03-07 08:00:00"),
+                             ts("2021-03-07 10:00:00"), "r"),
+            ActivityInstance("1", "b", ts("2021-03-07 09:00:00"),
+                             ts("2021-03-07 12:00:00"), "s"),
+        ])
+        for allow, start, rule in ((False, "09:00", RULE_CLAMPED),
+                                   (True, "10:00", RULE_ESTIMATED)):
+            outcome = repair_start_times(log, EMPTY, RepairConfig(allow_later_start=allow))
+            assert (outcome.repaired_log.starts[1], outcome.rules[1]) == (
+                ts(f"2021-03-07 {start}:00"), rule)
+        # "no" is truthy, so it would let b start later too
+        with pytest.raises(ConfigurationError,
+                           match="^allow_later_start must be True or False, got 'no'$"):
+            RepairConfig(allow_later_start="no")
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             RepairConfig(statistic="mean")

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
-from startrepair import repair
+from startrepair import ConfigurationError, repair
 from startrepair.cli import CONFIG_KEYS
 from startrepair.concurrency import OracleThresholds
 
@@ -123,7 +124,7 @@ def test_config_file_holds_only_the_subcommands_own_settings(tmp_path, capsys, c
     assert run(command, "--config", config, *paths) == 1
     err = capsys.readouterr().err
     assert_one_line_error(err)
-    assert f"unknown config keys: {unknown}" in err
+    assert f"bad config file: unknown keys {unknown}" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "concurrency"])
@@ -135,3 +136,42 @@ def test_config_file_with_the_subcommands_own_setting(tmp_path, capsys, command)
              else ["--input", source])
     assert run(command, "--config", config, *paths) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (OracleThresholds, "df_threshold", None),
+    (OracleThresholds, "balance_threshold", "0.5"),
+    (OracleThresholds, "df_threshold", True),
+    (repair.RepairConfig, "outlier_threshold", "2"),
+    (repair.RepairConfig, "outlier_threshold", True),
+    (repair.RepairConfig, "allow_later_start", "no"),
+])
+def test_library_setting_of_the_wrong_type_names_its_field(cls, field, value):
+    # a configuration error, not the TypeError of comparing the value, and a
+    # bool is no number, as in a config file
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("config_key, spec_key, value", [
+    ("df_threshold", "missing_resource_rate", "0.5"),
+    ("allow_later_start", "multitasking", 1),
+    ("bogus", "bogus", 1),
+], ids=["number", "switch", "unknown-key"])
+def test_config_file_and_spec_word_a_fault_alike(tmp_path, capsys, config_key, spec_key,
+                                                 value):
+    source, config, spec = (tmp_path / name for name in ("in.csv", "config.json",
+                                                         "spec.json"))
+    source.write_text(shipping_csv())
+    config.write_text(json.dumps({config_key: value}))
+    spec.write_text(json.dumps({spec_key: value}))
+    assert run("repair", "--input", source, "--output", tmp_path / "out.csv",
+               "--config", config) == 1
+    config_err = capsys.readouterr().err
+    assert run("generate", "--spec", spec, "--out-truth", tmp_path / "t.csv",
+               "--out-corrupted", tmp_path / "c.csv") == 1
+    spec_err = capsys.readouterr().err
+    assert_one_line_error(spec_err)
+    assert config_err.replace("bad config file", "bad generator spec").replace(
+        repr(config_key), repr(spec_key)) == spec_err
