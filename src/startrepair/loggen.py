@@ -9,7 +9,7 @@ from typing import Optional
 
 from .concurrency import ConcurrencyRelation
 from .model import (INTEGER, NUMBER, RANGE, STAGES, SWITCH, TIMESTAMP, ActivityInstanceLog,
-                    ConfigurationError, checked_settings)
+                    ConfigurationError, Kind, checked_settings)
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
@@ -20,6 +20,13 @@ SPEC_KEYS = {
     "duration_range": RANGE, "delay_range": RANGE, "arrival_gap_range": RANGE,
     "missing_resource_rate": NUMBER, "multitasking": SWITCH, "first_arrival": TIMESTAMP,
 }
+# a spec's `first_arrival` is the datetime that `from_dict` converts its text to
+_DATETIME = Kind("a datetime", lambda v: isinstance(v, datetime))
+
+
+def _listed(value):
+    """`value` with each tuple in it a list, as JSON gives a sequence."""
+    return list(map(_listed, value)) if isinstance(value, (tuple, list)) else value
 
 
 @dataclass(frozen=True)
@@ -49,13 +56,18 @@ class GenSpec:
     first_arrival: datetime = _EPOCH
 
     def __post_init__(self):
+        if isinstance(self.stages, str):  # would silently split into letters
+            raise ConfigurationError(f"stages must be a sequence of stages, "
+                                     f"got {self.stages!r}")
+        for name, kind in SPEC_KEYS.items():
+            kind = _DATETIME if kind is TIMESTAMP else kind
+            value = getattr(self, name)
+            if not kind.valid(_listed(value)):
+                raise ConfigurationError(f"{name} must be {kind.description}, got {value!r}")
         if self.trace_count < 1:
             raise ConfigurationError("trace_count must be >= 1")
         if self.resource_count < 1:
             raise ConfigurationError("resource_count must be >= 1")
-        if isinstance(self.stages, str):  # would silently split into letters
-            raise ConfigurationError(f"stages must be a sequence of stages, "
-                                     f"got {self.stages!r}")
         stages = tuple((stage.strip(),) if isinstance(stage, str)
                        else tuple(map(str.strip, stage)) for stage in self.stages)
         if not stages or not all(stage and all(stage) for stage in stages):

@@ -78,8 +78,22 @@ def checked_settings(data, kinds: dict, subject: str) -> dict:
                 settings[key] = convert(value) if convert else value
                 continue
         raise ConfigurationError(
-            f"bad {subject}: {key!r} must be {description}, got {json.dumps(value)}")
+            f"bad {subject}: {key!r} must be {description}, got {_quoted(value)}")
     return settings
+
+
+def _quoted(value) -> str:
+    """`value` as JSON text when parsed JSON can give it, else as its repr:
+    a tuple is no JSON array, and an object has no JSON text."""
+    return json.dumps(value) if _from_json(value) else repr(value)
+
+
+def _from_json(value) -> bool:
+    if type(value) is list:
+        return all(map(_from_json, value))
+    if type(value) is dict:
+        return all(type(key) is str and _from_json(item) for key, item in value.items())
+    return value is None or type(value) in (str, int, float, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,13 +118,12 @@ class ActivityInstance:
             )
 
 
-def _by_end(keys: Sequence, ends: Sequence[datetime]) -> dict[object, list[int]]:
-    """Row positions grouped by their value in `keys`, each group sorted by
-    `ends`. The sort is stable, so equal ends keep log order."""
+def _rows_by(keys: Sequence) -> dict[object, list[int]]:
+    """Row positions grouped by their value in `keys`, each group in log order."""
     groups = defaultdict(list)
     for row, key in enumerate(keys):
         groups[key].append(row)
-    return {key: sorted(rows, key=ends.__getitem__) for key, rows in groups.items()}
+    return dict(groups)
 
 
 class ActivityInstanceLog:
@@ -120,9 +133,10 @@ class ActivityInstanceLog:
     `ends` and `resources`, however it was built. `instances`, a tuple of
     `ActivityInstance`, is a view built on first use and cached, so a log read
     from CSV and only repaired, written or evaluated never builds an instance.
-    On first use the rows are also grouped by resource and by trace, as row
-    positions sorted by end (`_by_end`); `per_trace_index` is a view of the
-    trace groups, built on first use too.
+    The single anchor lookups of `repair` group the row positions by resource
+    and by trace, in log order, on first use and cache the groups;
+    `per_trace_index`, built on first use too, is a view of the trace groups,
+    each sorted by end, with equal ends in log order.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
@@ -152,18 +166,19 @@ class ActivityInstanceLog:
         return tuple(map(ActivityInstance, *_columns(self)))
 
     @cached_property
-    def _resource_groups(self) -> dict[Optional[str], list[int]]:
-        return _by_end(self.resources, self.ends)
+    def _rows_by_resource(self) -> dict[Optional[str], list[int]]:
+        return _rows_by(self.resources)
 
     @cached_property
-    def _trace_groups(self) -> dict[str, list[int]]:
-        return _by_end(self.trace_ids, self.ends)
+    def _rows_by_trace(self) -> dict[str, list[int]]:
+        return _rows_by(self.trace_ids)
 
     @cached_property
     def per_trace_index(self) -> dict[str, tuple[ActivityInstance, ...]]:
         # the benchmark's set-up reads it, to count traces
-        instance = self.instances.__getitem__
-        return {key: tuple(map(instance, rows)) for key, rows in self._trace_groups.items()}
+        instance, end = self.instances.__getitem__, self.ends.__getitem__
+        return {key: tuple(map(instance, sorted(rows, key=end)))
+                for key, rows in self._rows_by_trace.items()}
 
     def __len__(self) -> int:
         return len(self.ends)

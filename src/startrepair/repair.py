@@ -2,17 +2,16 @@
 from __future__ import annotations
 
 import statistics
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from itertools import compress
 from math import floor, inf
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import NUMBER, ActivityInstance, ActivityInstanceLog, ConfigurationError, _by_end
+from .model import (NUMBER, ActivityInstance, ActivityInstanceLog, ConfigurationError, _columns,
+                    _fields)
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -78,9 +77,12 @@ class InstanceRepair:
 class RepairOutcome:
     """The repaired log, with the decision behind each start as columns in
     log order: `rats` and `ents` the anchors, `estimates` the earliest start
-    after the outlier cap, and `rules` the rule applied. The `InstanceRepair`
-    audit records are built from these on first access to `per_instance`, so
-    a caller that never reads them does not pay for them.
+    after the outlier cap, and `rules` the rule applied. The single lookups
+    run the same pass, so with no cap each estimate is the very object
+    `earliest_start` gives, and each anchor of a row that is no bot or
+    instant is the object its lookup gives. The `InstanceRepair` audit
+    records are built from these on first access to `per_instance`, so a
+    caller that never reads them does not pay for them.
     """
 
     log: ActivityInstanceLog
@@ -101,34 +103,93 @@ class RepairOutcome:
                          self.estimates, self.repaired_log.starts, self.rules))
 
 
-def _last_end_before(log: ActivityInstanceLog, group: Sequence[int], i: int,
-                     relation: Optional[ConcurrencyRelation] = None,
-                     activity: Optional[str] = None) -> Optional[datetime]:
-    """The one anchor rule of RAT and ENT: the largest end in `group`, row
-    positions of `log` sorted by end, before position `i`, skipping rows whose
-    activity `relation` declares concurrent with `activity`. `i` is the first
-    position whose end is not before the instance's end, so equal ends never
-    count as before; among equal ends the last in log order wins. A walk back
-    past concurrent rows only: O(c) for c of them skipped."""
-    ends, activities = log.ends, log.activities
-    while i > 0:
-        i -= 1
-        row = group[i]
-        if relation is None or not relation.concurrent(activities[row], activity):
-            return ends[row]  # group is end-sorted, first hit is the max
-    return None
+def _decide(trace_ids: Sequence[str], activities: Sequence[str],
+            starts: Sequence[datetime], ends: Sequence[datetime],
+            resources: Sequence[Optional[str]], relation: ConcurrencyRelation,
+            config: RepairConfig) -> tuple[list, ...]:
+    """The one pass that decides every start before the outlier cap, over
+    five parallel columns: the rows are visited in one stable sort by end, so
+    of equal ends the last in column order anchors. Per resource it keeps the
+    end visited last and its run's RAT, which a later end replaces with that
+    end; an unknown performer has no RAT, as a pool of unbounded capacity.
+    Per trace it keeps the rows visited and where the current run of equal
+    ends starts, and ENT walks back from there past concurrent activities:
+    O(1) per row plus the rows skipped. The same visit sets the estimate,
+    `max(RAT, ENT)` or the only one present, the rule and the repaired
+    start; a bot or instant row starts at its end and keeps no anchors, but
+    anchors others. Returns the RATs, ENTs, estimates, repaired starts and
+    rules, in column order."""
+    partners = defaultdict(set)  # activity -> the activities concurrent with it
+    for a, b in relation.pairs:
+        partners[a].add(b)
+        partners[b].add(a)
+    bots, instants = config.bot_resources, config.instant_activities
+    later = config.allow_later_start
+    count = len(ends)
+    rats, ents, estimates, repaired, rules = ([None] * count for _ in range(5))
+    by_resource = {}  # resource -> (end visited last, RAT of its run of equal ends)
+    by_trace = {}  # trace -> [rows visited, where the current run of equal ends starts]
+    for row in sorted(range(count), key=ends.__getitem__):
+        end, activity, resource = ends[row], activities[row], resources[row]
+        rat = None
+        if resource is not None:
+            last, rat = by_resource.get(resource, (None, None))
+            if last is not None and last < end:
+                rat = last
+            by_resource[resource] = end, rat
+        ent = None
+        state = by_trace.get(trace_ids[row])
+        if state is None:
+            by_trace[trace_ids[row]] = [[row], 0]
+        else:
+            visited, run = state
+            if ends[visited[-1]] < end:
+                state[1] = run = len(visited)
+            skip = partners.get(activity, ())
+            while run:
+                run -= 1
+                if activities[visited[run]] not in skip:
+                    ent = ends[visited[run]]
+                    break
+            visited.append(row)
+        if activity in instants or resource in bots:
+            estimates[row] = repaired[row] = end
+            rules[row] = RULE_BOT_OR_INSTANT
+            continue
+        rats[row], ents[row] = rat, ent
+        # as max(rat, ent): of two equal instants, RAT's object and so its offset
+        estimates[row] = estimate = ent if rat is None or ent is not None and ent > rat else rat
+        start = starts[row]
+        if estimate is None:
+            repaired[row], rules[row] = start, RULE_NO_EVIDENCE
+        elif estimate > start and not later:
+            repaired[row], rules[row] = start, RULE_CLAMPED
+        else:
+            repaired[row], rules[row] = estimate, RULE_ESTIMATED
+    return rats, ents, estimates, repaired, rules
+
+
+def _decided(instance: ActivityInstance, log: ActivityInstanceLog, rows: Iterable[int],
+             relation: ConcurrencyRelation = ConcurrencyRelation(),
+             config: RepairConfig = RepairConfig()) -> tuple[Optional[datetime], ...]:
+    """`instance`'s RAT, ENT and estimate: `_decide` over `instance`, added
+    last, and the rows of `log` at positions `rows` (in log order) that end
+    before it, the only ones that can anchor it."""
+    end, ends = instance.end, log.ends
+    rows = [row for row in rows if ends[row] < end]
+    columns = [[column[row] for row in rows] + [value]
+               for column, value in zip(_columns(log), _fields(instance))]
+    rats, ents, estimates, _, _ = _decide(*columns, relation, config)
+    return rats[-1], ents[-1], estimates[-1]
 
 
 def resource_availability_time(
     instance: ActivityInstance, log: ActivityInstanceLog
 ) -> Optional[datetime]:
     """Largest end time among instances of the same resource ending strictly
-    before this instance's end; None for the resource's first instance."""
-    if instance.resource is None:
-        return None
-    group = log._resource_groups.get(instance.resource, ())
-    return _last_end_before(
-        log, group, bisect_left(group, instance.end, key=log.ends.__getitem__))
+    before this instance's end; None for the resource's first instance. The
+    pass runs over the resource's rows: O(k log k) for k of them."""
+    return _decided(instance, log, log._rows_by_resource.get(instance.resource, ()))[0]
 
 
 def enablement_time(
@@ -137,49 +198,10 @@ def enablement_time(
     relation: ConcurrencyRelation,
 ) -> Optional[datetime]:
     """Largest end time among same-trace instances ending strictly before this
-    instance's end whose activity is not concurrent with it; None when empty."""
-    group = log._trace_groups.get(instance.trace_id, ())
-    return _last_end_before(
-        log, group, bisect_left(group, instance.end, key=log.ends.__getitem__),
-        relation, instance.activity)
-
-
-def _anchors_in_end_order(log: ActivityInstanceLog, groups: dict,
-                          relation: Optional[ConcurrencyRelation] = None
-                          ) -> list[Optional[datetime]]:
-    """The anchor of every row, by position, over `groups` from `_by_end`: each
-    group is walked in end order, and the lookup starts where the current run
-    of equal ends starts, so a run of ties is never rescanned. O(1) per row
-    plus the concurrent rows skipped."""
-    ends, activities = log.ends, log.activities
-    anchors: list[Optional[datetime]] = [None] * len(ends)
-    for key, group in groups.items():
-        if key is None:  # an unknown performer has no RAT; a trace id is never None
-            continue
-        run = 0
-        for j, row in enumerate(group):
-            if ends[group[run]] < ends[row]:
-                run = j
-            anchors[row] = _last_end_before(log, group, run, relation, activities[row])
-    return anchors
-
-
-def _bot_or_instant(activity: str, resource: Optional[str],
-                    config: RepairConfig) -> bool:
-    """The bot/instant rule: the instance starts at its end, with no anchors."""
-    return activity in config.instant_activities or resource in config.bot_resources
-
-
-def _earliest(end: datetime, rat: Optional[datetime], ent: Optional[datetime],
-              instant: bool) -> Optional[datetime]:
-    """The earliest-start chain: an instant instance starts at its end;
-    otherwise the later anchor, or the only one present. An unknown performer
-    has no RAT: it is treated as a maximum-capacity pool."""
-    if instant:
-        return end
-    if rat is None or ent is None:
-        return ent if rat is None else rat
-    return max(rat, ent)
+    instance's end whose activity is not concurrent with it; None when empty.
+    The pass runs over the trace's rows: O(k log k) for k of them."""
+    return _decided(instance, log, log._rows_by_trace.get(instance.trace_id, ()),
+                    relation)[1]
 
 
 def earliest_start(
@@ -189,10 +211,12 @@ def earliest_start(
     config: RepairConfig = RepairConfig(),
 ) -> Optional[datetime]:
     """Earliest instant the instance could have started: max of resource
-    availability and enablement, with the bot/instant and missing-resource rules."""
-    return _earliest(instance.end, resource_availability_time(instance, log),
-                     enablement_time(instance, log, relation),
-                     _bot_or_instant(instance.activity, instance.resource, config))
+    availability and enablement, with the bot/instant and missing-resource
+    rules, before the outlier cap; `repair_start_times` gives the same object.
+    The pass runs over the rows of the instance's resource and trace."""
+    rows = {*log._rows_by_resource.get(instance.resource, ()),
+            *log._rows_by_trace.get(instance.trace_id, ())}
+    return _decided(instance, log, sorted(rows), relation, config)[2]
 
 
 def typical_repaired_duration(
@@ -219,58 +243,46 @@ def repair_start_times(
 ) -> RepairOutcome:
     """Repair every start time to the instance's earliest starting point.
 
-    Pass 1 computes the earliest start per instance; when an outlier threshold
-    is set, pass 2 fixes each activity's cap at threshold * typical repaired
-    duration and pass 3 shortens longer repaired durations to it. Estimates are
-    then clamped so starts never move past the recorded start (unless
-    `allow_later_start`); RAT and ENT lie strictly before the end and the cap is
-    non-negative, so no estimate passes the end. Instances flagged bot/instant
-    keep start = end regardless of clamping, and their zero durations count in
-    the typical duration; instances with no evidence keep their recorded start.
+    One end-ordered pass, `_decide`, gives every instance its anchors, its
+    earliest start and its uncapped rule: O(n log n) for the sort, then O(1)
+    per row plus the concurrent rows ENT skips. When an outlier threshold is
+    set, each activity's cap is then fixed at threshold * typical repaired
+    duration, and only the rows whose repaired duration exceeds it are
+    decided again, with the capped estimate. Estimates are clamped so starts
+    never move past the recorded start (unless `allow_later_start`); RAT and
+    ENT lie strictly before the end and the cap is non-negative, so no
+    estimate passes the end. Instances flagged bot/instant keep start = end
+    regardless of clamping, and their zero durations count in the typical
+    duration; instances with no evidence keep their recorded start.
     """
     activities, starts, ends = log.activities, log.starts, log.ends
-    instants = [_bot_or_instant(activity, resource, config)
-                for activity, resource in zip(activities, log.resources)]
-    # built for this call only: cached on the log, they would outlive the repair
-    rats = _anchors_in_end_order(log, _by_end(log.resources, ends))
-    ents = _anchors_in_end_order(log, _by_end(log.trace_ids, ends), relation)
-    for row in compress(range(len(ends)), instants):
-        rats[row] = ents[row] = None
-    rats, ents = tuple(rats), tuple(ents)
-    estimates = list(map(_earliest, ends, rats, ents, instants))
+    rats, ents, estimates, repaired_starts, rules = _decide(*_columns(log), relation, config)
 
-    bounds: dict[str, timedelta] = {}
     if config.outlier_threshold is not None:
         by_activity: dict[str, list[timedelta]] = defaultdict(list)
-        for activity, end, earliest in zip(activities, ends, estimates):
-            if earliest is not None:
-                by_activity[activity].append(end - earliest)
+        for activity, end, estimate in zip(activities, ends, estimates):
+            if estimate is not None:
+                by_activity[activity].append(end - estimate)
+        caps: dict[str, timedelta] = {}
         for activity, durations in by_activity.items():
             typical = typical_repaired_duration(durations, config.statistic)
             try:
-                bounds[activity] = config.outlier_threshold * typical
+                caps[activity] = config.outlier_threshold * typical
             except OverflowError:
                 pass  # a cap beyond timedelta's range never binds: leave uncapped
-
-    repaired_starts, rules = [], []
-    for row, (activity, start, end, earliest, instant) in enumerate(
-            zip(activities, starts, ends, estimates, instants)):
-        if instant:
-            repaired, rule = earliest, RULE_BOT_OR_INSTANT
-        elif earliest is None:
-            repaired, rule = start, RULE_NO_EVIDENCE
-        else:
-            rule = RULE_ESTIMATED
-            bound = bounds.get(activity)
-            if bound is not None and end - earliest > bound:
-                estimates[row] = earliest = end - bound
-                rule = RULE_CAPPED
-            repaired = earliest
-            if not config.allow_later_start and repaired > start:
-                repaired, rule = start, RULE_CLAMPED
-        repaired_starts.append(repaired)
-        rules.append(rule)
+        for row, (activity, end, estimate, rule) in enumerate(
+                zip(activities, ends, estimates, rules)):
+            cap = caps.get(activity)
+            # a bot or instant row's duration is 0, never above a cap
+            if cap is None or estimate is None or end - estimate <= cap:
+                continue
+            estimates[row] = estimate = end - cap
+            if not config.allow_later_start and estimate > starts[row]:
+                repaired_starts[row], rules[row] = starts[row], RULE_CLAMPED
+            else:
+                repaired_starts[row], rules[row] = estimate, RULE_CAPPED
     # only the starts change: the repaired log shares the other four columns
     repaired_log = ActivityInstanceLog.from_columns(
         log.trace_ids, activities, repaired_starts, ends, log.resources)
-    return RepairOutcome(log, repaired_log, rats, ents, tuple(estimates), tuple(rules))
+    return RepairOutcome(log, repaired_log, tuple(rats), tuple(ents), tuple(estimates),
+                         tuple(rules))

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import pytest
 
@@ -63,10 +65,12 @@ def shipping_log() -> ActivityInstanceLog:
 
 
 def resource_buckets(log: ActivityInstanceLog) -> dict:
-    """Per resource, its instances sorted by end, rebuilt from the log's row
-    positions grouped by resource."""
-    instance = log.instances.__getitem__
-    return {key: tuple(map(instance, rows)) for key, rows in log._resource_groups.items()}
+    """Per resource, its instances sorted by end; the sort is stable, so
+    equal ends keep log order."""
+    buckets = defaultdict(list)
+    for instance in sorted(log.instances, key=attrgetter("end")):
+        buckets[instance.resource].append(instance)
+    return {key: tuple(bucket) for key, bucket in buckets.items()}
 
 
 def find(log: ActivityInstanceLog, trace: str, activity: str) -> ActivityInstance:

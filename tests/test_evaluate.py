@@ -321,6 +321,12 @@ class TestNoIndexWork:
             assert "per_trace_index" not in log.__dict__
             assert "_resource_groups" not in log.__dict__
 
+    def test_evaluate_caches_nothing_on_the_logs(self, shipping_log):
+        logs = (shipping_log, shifted(shipping_log, timedelta(hours=1)))
+        cached = [dict(log.__dict__) for log in logs]
+        evaluate_logs(*logs)
+        assert [log.__dict__ for log in logs] == cached
+
 
 class TestTranslationProperty:
     @given(instance_logs(min_size=5, max_size=15),

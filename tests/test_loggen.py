@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,32 @@ class TestGenSpec:
     def test_null_key_takes_its_default(self, key):
         assert GenSpec.from_dict({"seed": 1, "trace_count": 2, key: None}) == GenSpec(
             seed=1, trace_count=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trace_count", "3"),
+        ("seed", True),
+        ("missing_resource_rate", None),
+        ("duration_range", (1, "5")),
+        ("delay_range", (0, 1, 2)),
+        ("multitasking", "no"),
+        ("stages", (("a", 3),)),
+        ("first_arrival", "2021-03-01T08:00:00"),
+    ])
+    def test_field_of_the_wrong_type_names_its_field(self, field, value):
+        # a configuration error, not the TypeError of comparing the value
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+            GenSpec(**{"seed": 1, "trace_count": 2, field: value})
+
+    def test_python_forms_of_the_json_kinds_accepted(self):
+        # tuples for ranges and stages, and a datetime, as a script passes them
+        spec = GenSpec(seed=1, trace_count=2, stages=(("a", "b"), "c"), duration_range=(1, 5),
+                       missing_resource_rate=0, multitasking=True,
+                       first_arrival=datetime(2021, 3, 1, 8, tzinfo=timezone.utc))
+        assert spec == GenSpec.from_dict({
+            "seed": 1, "trace_count": 2, "stages": [["a", "b"], "c"], "duration_range": [1, 5],
+            "missing_resource_rate": 0, "multitasking": True,
+            "first_arrival": "2021-03-01T08:00:00Z"})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):

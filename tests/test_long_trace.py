@@ -1,5 +1,5 @@
-"""A trace of about 1000 instances: the overlap sweep and the bisected ENT
-lookup must equal their O(k^2) references. No wall time is asserted."""
+"""A trace of about 1000 instances: the overlap sweep and the ENT lookup
+must equal their O(k^2) references. No wall time is asserted."""
 from __future__ import annotations
 
 import pytest

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import operator
 from collections import defaultdict
 from dataclasses import replace
@@ -22,6 +23,7 @@ from startrepair import (
     repair_start_times,
     resource_availability_time,
     typical_repaired_duration,
+    write_activity_instance_log,
 )
 from startrepair.repair import (
     RULE_BOT_OR_INSTANT,
@@ -548,6 +550,52 @@ class TestTieOrder:
                               key=lambda j: (log.ends[j], j))
                 assert len(group) == len(rows)
                 assert all(map(operator.is_, group, map(log.instances.__getitem__, rows)))
+
+    def test_rat_keeps_its_offset_when_ent_is_the_same_instant(self):
+        # RAT is 10:00 UTC written at +00:00, ENT the same instant written at
+        # +02:00; the estimate is max(RAT, ENT), which keeps RAT's object
+        plus_two = timezone(timedelta(hours=2))
+        log = ActivityInstanceLog([
+            ActivityInstance("other", "p", ts("2021-03-07 09:00:00"),
+                             ts("2021-03-07 10:00:00"), "r"),
+            ActivityInstance("t", "a", ts("2021-03-07 09:30:00").astimezone(plus_two),
+                             ts("2021-03-07 10:00:00").astimezone(plus_two), "s"),
+            ActivityInstance("t", "b", ts("2021-03-07 10:30:00"),
+                             ts("2021-03-07 11:00:00"), "r"),
+        ])
+        rat, ent = log.ends[0], log.ends[1]
+        assert rat == ent and rat.utcoffset() != ent.utcoffset()
+        outcome = repair_start_times(log, EMPTY)
+        assert outcome.rats[2] is rat and outcome.ents[2] is ent
+        assert outcome.estimates[2] is rat
+        assert outcome.repaired_log.starts[2] is rat
+        assert earliest_start(log.instances[2], log, EMPTY) is rat
+        sink = io.StringIO()
+        write_activity_instance_log(outcome.repaired_log, sink)
+        assert sink.getvalue().splitlines()[3] == (
+            "t,b,2021-03-07 10:00:00+00:00,2021-03-07 11:00:00+00:00,r")
+
+    # the setting of the property above, with bots and instants
+    @given(instance_logs(horizon_seconds=3, max_duration_seconds=2, max_size=30),
+           st.frozensets(st.sampled_from(TRACES)),
+           st.lists(st.tuples(st.sampled_from(ACTIVITIES), st.sampled_from(ACTIVITIES))),
+           st.frozensets(st.sampled_from(("r1", "r2"))),
+           st.frozensets(st.sampled_from(ACTIVITIES)))
+    def test_single_lookups_give_the_objects_of_the_pass(self, log, moved, pairs, bots,
+                                                         instants):
+        plus_two = timezone(timedelta(hours=2))
+        log = ActivityInstanceLog(
+            replace(i, start=i.start.astimezone(plus_two), end=i.end.astimezone(plus_two))
+            if i.trace_id in moved else i
+            for i in log.instances)
+        relation = ConcurrencyRelation(pairs)
+        config = RepairConfig(bot_resources=bots, instant_activities=instants)
+        outcome = repair_start_times(log, relation, config)
+        for row, instance in enumerate(log.instances):
+            assert earliest_start(instance, log, relation, config) is outcome.estimates[row]
+            if outcome.rules[row] != RULE_BOT_OR_INSTANT:
+                assert resource_availability_time(instance, log) is outcome.rats[row]
+                assert enablement_time(instance, log, relation) is outcome.ents[row]
 
 
 def columnar_copy(log):

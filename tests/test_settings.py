@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from startrepair import ConfigurationError, repair
+from startrepair import ConfigurationError, GenSpec, repair
 from startrepair.cli import CONFIG_KEYS
 from startrepair.concurrency import OracleThresholds
 
@@ -175,3 +175,23 @@ def test_config_file_and_spec_word_a_fault_alike(tmp_path, capsys, config_key, s
     assert_one_line_error(spec_err)
     assert config_err.replace("bad config file", "bad generator spec").replace(
         repr(config_key), repr(spec_key)) == spec_err
+
+
+AN_OBJECT = object()
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("duration_range", (1, 5), "(1, 5)"),
+    ("stages", ("a", ("b", 3)), "('a', ('b', 3))"),
+    ("seed", AN_OBJECT, repr(AN_OBJECT)),
+    ("delay_range", [0, (1, 2)], "[0, (1, 2)]"),
+    ("missing_resource_rate", {1: 0.5}, "{1: 0.5}"),
+    ("delay_range", [0, "60"], '[0, "60"]'),
+    ("missing_resource_rate", {"rate": [0.5, None]}, '{"rate": [0.5, null]}'),
+])
+def test_refused_value_is_quoted_as_json_only_when_json_can_give_it(key, value, shown):
+    # a value that parsed JSON cannot give, as a library caller may pass, is
+    # quoted by its repr: its JSON text would misname it or not exist
+    with pytest.raises(ConfigurationError,
+                       match=f"^bad generator spec: '{key}' must be .*, got {re.escape(shown)}$"):
+        GenSpec.from_dict({"seed": 1, "trace_count": 2, key: value})
