@@ -41,7 +41,8 @@ class GenSpec:
     arrival); the corrupted twin delays each recorded start by a sampled
     amount of non-recorded processing time, never past the end.
     `multitasking` drops the resource-serialization constraint to test
-    graceful degradation.
+    graceful degradation. A naive `first_arrival` is taken as UTC, as every
+    reader takes an offset-free stamp, so that a written log reads back equal.
     """
 
     seed: int
@@ -73,6 +74,9 @@ class GenSpec:
         if not stages or not all(stage and all(stage) for stage in stages):
             raise ConfigurationError("stages and their activity labels must be non-empty")
         object.__setattr__(self, "stages", stages)
+        if self.first_arrival.tzinfo is None:
+            object.__setattr__(self, "first_arrival",
+                               self.first_arrival.replace(tzinfo=timezone.utc))
         for name in ("duration_range", "delay_range", "arrival_gap_range"):
             low, high = getattr(self, name)
             if low > high or low < 0:

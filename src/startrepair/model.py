@@ -118,14 +118,6 @@ class ActivityInstance:
             )
 
 
-def _rows_by(keys: Sequence) -> dict[object, list[int]]:
-    """Row positions grouped by their value in `keys`, each group in log order."""
-    groups = defaultdict(list)
-    for row, key in enumerate(keys):
-        groups[key].append(row)
-    return dict(groups)
-
-
 class ActivityInstanceLog:
     """Ordered collection of activity instances, immutable after construction.
 
@@ -133,10 +125,10 @@ class ActivityInstanceLog:
     `ends` and `resources`, however it was built. `instances`, a tuple of
     `ActivityInstance`, is a view built on first use and cached, so a log read
     from CSV and only repaired, written or evaluated never builds an instance.
-    The single anchor lookups of `repair` group the row positions by resource
-    and by trace, in log order, on first use and cache the groups;
-    `per_trace_index`, built on first use too, is a view of the trace groups,
-    each sorted by end, with equal ends in log order.
+    `per_trace_index`, built on first use too, maps each trace to its
+    instances sorted by end, with equal ends in log order. The log caches no
+    other grouping: the single anchor lookups of `repair` select their rows
+    from the columns on each call.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
@@ -166,19 +158,14 @@ class ActivityInstanceLog:
         return tuple(map(ActivityInstance, *_columns(self)))
 
     @cached_property
-    def _rows_by_resource(self) -> dict[Optional[str], list[int]]:
-        return _rows_by(self.resources)
-
-    @cached_property
-    def _rows_by_trace(self) -> dict[str, list[int]]:
-        return _rows_by(self.trace_ids)
-
-    @cached_property
     def per_trace_index(self) -> dict[str, tuple[ActivityInstance, ...]]:
         # the benchmark's set-up reads it, to count traces
+        groups = defaultdict(list)
+        for row, key in enumerate(self.trace_ids):
+            groups[key].append(row)
         instance, end = self.instances.__getitem__, self.ends.__getitem__
         return {key: tuple(map(instance, sorted(rows, key=end)))
-                for key, rows in self._rows_by_trace.items()}
+                for key, rows in groups.items()}
 
     def __len__(self) -> int:
         return len(self.ends)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
 from math import floor, inf
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
 from .model import (NUMBER, ActivityInstance, ActivityInstanceLog, ConfigurationError, _columns,
@@ -169,14 +169,16 @@ def _decide(trace_ids: Sequence[str], activities: Sequence[str],
     return rats, ents, estimates, repaired, rules
 
 
-def _decided(instance: ActivityInstance, log: ActivityInstanceLog, rows: Iterable[int],
+def _decided(instance: ActivityInstance, log: ActivityInstanceLog,
              relation: ConcurrencyRelation = ConcurrencyRelation(),
              config: RepairConfig = RepairConfig()) -> tuple[Optional[datetime], ...]:
-    """`instance`'s RAT, ENT and estimate: `_decide` over `instance`, added
-    last, and the rows of `log` at positions `rows` (in log order) that end
-    before it, the only ones that can anchor it."""
-    end, ends = instance.end, log.ends
-    rows = [row for row in rows if ends[row] < end]
+    """`instance`'s RAT, ENT and estimate: `_decide` over the rows of `log`
+    that end before it and share its trace or its known resource, the only
+    ones that can anchor it, in log order, with `instance` added last. One
+    pass over the log's columns selects them: O(n + k log k) for k rows."""
+    trace, resource, end = instance.trace_id, instance.resource, instance.end
+    rows = [row for row, (t, r, e) in enumerate(zip(log.trace_ids, log.resources, log.ends))
+            if (t == trace or resource is not None and r == resource) and e < end]
     columns = [[column[row] for row in rows] + [value]
                for column, value in zip(_columns(log), _fields(instance))]
     rats, ents, estimates, _, _ = _decide(*columns, relation, config)
@@ -187,9 +189,9 @@ def resource_availability_time(
     instance: ActivityInstance, log: ActivityInstanceLog
 ) -> Optional[datetime]:
     """Largest end time among instances of the same resource ending strictly
-    before this instance's end; None for the resource's first instance. The
-    pass runs over the resource's rows: O(k log k) for k of them."""
-    return _decided(instance, log, log._rows_by_resource.get(instance.resource, ()))[0]
+    before this instance's end; None for the resource's first instance or an
+    unknown resource. Runs the pass of `_decided`."""
+    return _decided(instance, log)[0]
 
 
 def enablement_time(
@@ -199,9 +201,8 @@ def enablement_time(
 ) -> Optional[datetime]:
     """Largest end time among same-trace instances ending strictly before this
     instance's end whose activity is not concurrent with it; None when empty.
-    The pass runs over the trace's rows: O(k log k) for k of them."""
-    return _decided(instance, log, log._rows_by_trace.get(instance.trace_id, ()),
-                    relation)[1]
+    Runs the pass of `_decided`."""
+    return _decided(instance, log, relation)[1]
 
 
 def earliest_start(
@@ -213,10 +214,8 @@ def earliest_start(
     """Earliest instant the instance could have started: max of resource
     availability and enablement, with the bot/instant and missing-resource
     rules, before the outlier cap; `repair_start_times` gives the same object.
-    The pass runs over the rows of the instance's resource and trace."""
-    rows = {*log._rows_by_resource.get(instance.resource, ()),
-            *log._rows_by_trace.get(instance.trace_id, ())}
-    return _decided(instance, log, sorted(rows), relation, config)[2]
+    Runs the pass of `_decided`."""
+    return _decided(instance, log, relation, config)[2]
 
 
 def typical_repaired_duration(

@@ -319,7 +319,6 @@ class TestNoIndexWork:
         evaluate_logs(shipping_log, other)
         for log in (shipping_log, other):
             assert "per_trace_index" not in log.__dict__
-            assert "_resource_groups" not in log.__dict__
 
     def test_evaluate_caches_nothing_on_the_logs(self, shipping_log):
         logs = (shipping_log, shifted(shipping_log, timedelta(hours=1)))

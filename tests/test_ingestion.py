@@ -349,3 +349,14 @@ def test_one_column_log_skips_blank_lines():
     log = read_instance_log(io.StringIO(text), mapping)
     assert log.trace_ids == ("2021-03-01 08:00:00", "2021-03-01 09:00:00")
     assert log.resources == (None, None)
+
+
+def test_chunk_of_lines_that_cannot_be_split_goes_to_the_csv_module():
+    # an empty line, or one that is no string, makes no plain chunk; the csv
+    # module then reads the empty line as blank and refuses the bytes
+    header = "case_id,activity,start_time,end_time,resource\n"
+    row = "t1,a,2021-03-01 08:00:00,2021-03-01 09:00:00,r1\n"
+    log = read_instance_log(iter([header, "", row]))
+    assert log.trace_ids == ("t1",) and log.resources == ("r1",)
+    with pytest.raises(LogFormatError, match=r"^line \d+: iterator should return strings"):
+        read_instance_log(iter([header, row.encode()]))

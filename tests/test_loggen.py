@@ -13,6 +13,7 @@ from startrepair import (
     ConfigurationError,
     GenSpec,
     RepairConfig,
+    evaluate_logs,
     generate,
     read_instance_log,
     repair_start_times,
@@ -58,6 +59,18 @@ class TestGenSpec:
         truth, _ = generate(GenSpec(seed=1, trace_count=2, stages=((" a",), " b ")))
         assert set(truth.activities) == {"a", "b"}
         assert read_instance_log(io.StringIO(log_bytes(truth).decode(), newline="")) == truth
+
+    def test_naive_first_arrival_is_utc_so_the_written_log_reads_back(self):
+        # every reader gives an offset-free stamp UTC; a naive log would not
+        # compare with the log read back
+        naive = GenSpec(seed=1, trace_count=2, first_arrival=datetime(2021, 3, 1, 8))
+        aware = GenSpec(seed=1, trace_count=2,
+                        first_arrival=datetime(2021, 3, 1, 8, tzinfo=timezone.utc))
+        assert generate(naive) == generate(aware)
+        for log in generate(naive):
+            read_back = read_instance_log(io.StringIO(log_bytes(log).decode(), newline=""))
+            assert read_back == log
+            assert evaluate_logs(log, read_back).timestamp_emd == 0
 
     def test_from_dict_normalizes_stages(self):
         spec = GenSpec.from_dict(

@@ -34,7 +34,7 @@ from startrepair.repair import (
 from startrepair.repair import RULE_CAPPED, RULE_ESTIMATED
 
 from .conftest import find, resource_buckets, ts
-from .strategies import ACTIVITIES, instance_logs
+from .strategies import ACTIVITIES, instance_logs, instances
 from .strategies import TRACES
 from .strategies import RESOURCES
 
@@ -411,6 +411,28 @@ class TestRepairProperties:
                 instance, log, relation
             )
 
+    # the probe is no row of the log: it shares the log's trace, a resource,
+    # both or neither, or has no resource
+    @given(instance_logs(max_size=12), st.data(),
+           st.lists(st.tuples(st.sampled_from(ACTIVITIES), st.sampled_from(ACTIVITIES))),
+           st.frozensets(st.sampled_from(("r1", "r2", "nobody"))),
+           st.frozensets(st.sampled_from(ACTIVITIES)))
+    def test_lookups_of_a_probe_outside_the_log(self, log, data, pairs, bots, instants):
+        probe = data.draw(instances(traces=(*log.trace_ids, "elsewhere"),
+                                    resources=(*log.resources, "nobody", None)))
+        relation = ConcurrencyRelation(pairs)
+        config = RepairConfig(bot_resources=bots, instant_activities=instants)
+        rat = resource_availability_time(probe, log)
+        ent = enablement_time(probe, log, relation)
+        assert rat == brute_force_rat(probe, log)
+        assert ent == brute_force_ent(probe, log, relation)
+        if probe.resource in bots or probe.activity in instants:
+            expected = probe.end
+        else:
+            expected = max((anchor for anchor in (rat, ent) if anchor is not None),
+                           default=None)
+        assert earliest_start(probe, log, relation, config) == expected
+
     @given(instance_logs(max_size=12))
     def test_repair_invariants(self, log):
         relation = discover_from_log(log)
@@ -478,10 +500,6 @@ class TestRepairProperties:
             if record.rule_applied != RULE_BOT_OR_INSTANT:
                 assert record.rat == brute_force_rat(instance, log)
                 assert record.ent == brute_force_ent(instance, log, relation)
-
-    def test_repair_builds_no_resource_index(self, shipping_log):
-        repair_start_times(shipping_log, discover_from_log(shipping_log))
-        assert "_resource_groups" not in shipping_log.__dict__
 
     @given(instance_logs(max_size=12))
     def test_rule_counts_sum_to_instances(self, log):
@@ -616,6 +634,20 @@ def test_lookups_build_no_instance_view(shipping_log):
         earliest_start(instance, log, relation)
     for view in ("instances", "per_trace_index"):
         assert view not in log.__dict__
+
+
+def test_lookups_cache_nothing_on_the_log(shipping_log):
+    # each lookup selects its rows from the columns, so no grouping outlives it
+    log = columnar_copy(shipping_log)
+    relation = discover_from_log(log)
+    cached = dict(log.__dict__)
+    for instance in shipping_log.instances:
+        resource_availability_time(instance, log)
+        assert log.__dict__ == cached
+        enablement_time(instance, log, relation)
+        assert log.__dict__ == cached
+        earliest_start(instance, log, relation)
+        assert log.__dict__ == cached
 
 
 def test_repair_caches_nothing_on_the_log(shipping_log):
