@@ -102,12 +102,12 @@ def _input_file(path: str):
 
 
 def _json_file(path: str):
-    """The JSON value in `path`; a syntax error or an over-long integer names it."""
+    """The JSON value in `path`; a syntax error, an over-long integer or deep nesting names it."""
     with _input_file(path) as handle:
         text = handle.read()  # outside the try: a decode error keeps its message
         try:
             return json.loads(text)
-        except ValueError as exc:  # _input_file adds the path
+        except (ValueError, RecursionError) as exc:  # _input_file adds the path
             raise LogFormatError(str(exc)) from None
 
 

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .concurrency import ConcurrencyRelation
 from .model import (INTEGER, NUMBER, RANGE, STAGES, SWITCH, TIMESTAMP, ActivityInstanceLog,
-                    ConfigurationError, Kind, checked_settings)
+                    ConfigurationError, Kind, _quoted, checked_settings)
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
@@ -24,9 +24,11 @@ SPEC_KEYS = {
 _DATETIME = Kind("a datetime", lambda v: isinstance(v, datetime))
 
 
-def _listed(value):
-    """`value` with each tuple in it a list, as JSON gives a sequence."""
-    return list(map(_listed, value)) if isinstance(value, (tuple, list)) else value
+def _listed(value, levels: int = 2):
+    """`value` with each tuple in its top `levels` levels a list, as JSON
+    gives a sequence; no kind looks deeper than two."""
+    return ([_listed(item, levels - 1) for item in value]
+            if levels and isinstance(value, (tuple, list)) else value)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class GenSpec:
             kind = _DATETIME if kind is TIMESTAMP else kind
             value = getattr(self, name)
             if not kind.valid(_listed(value)):
-                raise ConfigurationError(f"{name} must be {kind.description}, got {value!r}")
+                raise ConfigurationError(f"{name} must be {kind.description}, "
+                                         f"got {_quoted(value, as_json=False)}")
         if self.trace_count < 1:
             raise ConfigurationError("trace_count must be >= 1")
         if self.resource_count < 1:

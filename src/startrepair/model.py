@@ -57,6 +57,7 @@ RANGE = Kind("a [low, high] pair of integers",
 STAGES = Kind("a list of activities or lists of activities",
               lambda v: isinstance(v, list) and all(map(LABELS.valid, v)))
 TIMESTAMP = Kind("an ISO 8601 timestamp", TEXT.valid, parse_timestamp)
+_DEEPEST = 100  # the deepest refused value a message quotes
 
 
 def checked_settings(data, kinds: dict, subject: str) -> dict:
@@ -82,18 +83,25 @@ def checked_settings(data, kinds: dict, subject: str) -> dict:
     return settings
 
 
-def _quoted(value) -> str:
-    """`value` as JSON text when parsed JSON can give it, else as its repr:
-    a tuple is no JSON array, and an object has no JSON text."""
-    return json.dumps(value) if _from_json(value) else repr(value)
+def _quoted(value, as_json: bool = True) -> str:
+    """`value` as JSON text when parsed JSON can give it and `as_json` is set,
+    else as its repr: a tuple is no JSON array, and an object has no JSON text.
+    It is walked a level at a time, and one nested over `_DEEPEST` deep is
+    named by that, since both texts recurse."""
+    level = [value]
+    for _ in range(_DEEPEST):
+        as_json = as_json and all(map(_from_json, level))
+        level = list(chain.from_iterable(
+            chain(item, item.values()) if isinstance(item, dict) else item
+            for item in level if isinstance(item, (dict, list, tuple, set, frozenset))))
+        if not level:
+            return json.dumps(value) if as_json else repr(value)
+    return f"a value nested more than {_DEEPEST} deep"
 
 
-def _from_json(value) -> bool:
-    if type(value) is list:
-        return all(map(_from_json, value))
-    if type(value) is dict:
-        return all(type(key) is str and _from_json(item) for key, item in value.items())
-    return value is None or type(value) in (str, int, float, bool)
+def _from_json(item) -> bool:  # a value parsed JSON can give, its items aside
+    return (item is None or type(item) in (list, str, int, float, bool)
+            or type(item) is dict and all(type(key) is str for key in item))
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,27 +345,6 @@ def _plain_cells(lines: list, width: int) -> Optional[list]:
     return cells
 
 
-def _record_chunks(records, offset: int):
-    """The records of the csv reader `records`, in lists of at most `_CHUNK`.
-    A fault the csv module raises, such as a field over its size limit or a
-    binary stream's bytes, becomes a LogFormatError naming the line, counted
-    from `offset` lines before the reader's first. It is raised after the
-    list of the records read before it, so that a bad row among those still
-    reports first."""
-    full = True
-    while full:
-        chunk, fault = [], None
-        try:
-            chunk.extend(islice(records, _CHUNK))  # keeps what it read before a fault
-        except csv.Error as exc:
-            fault = LogFormatError(f"line {offset + records.line_num}: {exc}")
-        full = len(chunk) == _CHUNK
-        if chunk:
-            yield chunk
-        if fault is not None:
-            raise fault
-
-
 def _decoded(source, mapping: ColumnMapping):
     """Decode the CSV rows of `source` under `mapping`, one chunk at a time.
 
@@ -378,19 +365,22 @@ def _decoded(source, mapping: ColumnMapping):
     (`_plain_cells`) is split at its commas, and its mapped columns are taken
     as slices of its cells. The first chunk that is not plain, and the rest of
     the input with it, goes through the csv module in chunks of `_CHUNK`
-    records, since a quoted field may span lines; its `line N` messages count
-    the lines split before it.
+    records, since a quoted field may span lines. A fault it raises, such as
+    a field over its size limit or a binary stream's bytes, is raised as
+    `line N: ...`, counting the lines split before it, after the records
+    read before it, so that a bad row among those still reports first.
 
-    One decoder, `convert`, holds every cell rule. It checks and converts a
-    chunk a column at a time, by C-level calls, so no row of valid input runs
-    code of its own, and raises the first failing check's message: extra
-    fields, then missing ones (both checked by `picked` on csv records, the
-    only ones that can have them), then the first empty mapped cell in column
-    order, then the stamps, start column first, then a start after its end.
-    When a chunk fails, its rows are decoded again one at a time, in row
-    order, and the first bad row raises its message with its row number; only
-    bad input pays for that walk. At most two chunks are alive at once, the
-    one decoded and the one read next.
+    One loop decodes every chunk, in either form, by one decoder, `convert`,
+    which holds every cell rule. It checks and converts a chunk a column at a
+    time, by C-level calls, so no row of valid input runs code of its own,
+    and raises the first failing check's message: extra fields, then missing
+    ones (both checked by `picked` on csv records, the only ones that can
+    have them), then the first empty mapped cell in column order, then the
+    stamps, start column first, then a start after its end. When a chunk
+    fails, its rows, cut from a plain chunk's cells only then, are decoded
+    again one at a time, in row order, and the first bad row raises its
+    message with its row number; only bad input pays for that walk. At most
+    two chunks are alive at once, the one decoded and the one read next.
     """
     lines = iter(source)
     records = csv.reader(lines)
@@ -455,29 +445,36 @@ def _decoded(source, mapping: ColumnMapping):
             except LogFormatError as exc:
                 raise LogFormatError(f"row {number}: {exc}") from None
 
-    row_number = 2  # of the chunk's first data row
-    lines_read = records.line_num  # before the chunk
-    chunk = list(islice(lines, _CHUNK))
-    while chunk and (cells := _plain_cells(chunk, width)) is not None:
-        try:
-            decoded = convert([cells[i::width] for i in columns])
-        except LogFormatError:
-            first_bad([cells[at:at + width] for at in range(0, len(cells), width)])
-            raise
-        row_number += len(chunk)
-        lines_read += len(chunk)
-        yield decoded
+    def chunks():
+        """Each chunk: `(cells, None)` if plain, else `(None, records)`, blanks dropped."""
+        lines_read = records.line_num  # before the chunk
         chunk = list(islice(lines, _CHUNK))
-    for records in _record_chunks(csv.reader(chain(chunk, lines)), lines_read):
-        rows = list(filter(None, records))  # a blank line is an empty record
-        if rows:
+        while chunk and (cells := _plain_cells(chunk, width)) is not None:
+            yield cells, None
+            lines_read += len(chunk)
+            chunk = list(islice(lines, _CHUNK))
+        rest = csv.reader(chain(chunk, lines))
+        while chunk:
+            chunk, fault = [], None
             try:
-                decoded = convert(picked(rows))
-            except LogFormatError:
-                first_bad(rows)
-                raise
-            row_number += len(rows)
-            yield decoded
+                chunk.extend(islice(rest, _CHUNK))  # keeps what it read before a fault
+            except csv.Error as exc:
+                fault = LogFormatError(f"line {lines_read + rest.line_num}: {exc}")
+            if rows := list(filter(None, chunk)):  # a blank line is an empty record
+                yield None, rows
+            if fault is not None:
+                raise fault
+
+    row_number = 2  # of the chunk's first data row
+    for cells, rows in chunks():
+        try:
+            decoded = convert([cells[i::width] for i in columns] if rows is None
+                              else picked(rows))
+        except LogFormatError:
+            first_bad(rows or [cells[at:at + width] for at in range(0, len(cells), width)])
+            raise
+        row_number += len(decoded[0])
+        yield decoded
 
 
 def parse_event_log(source, mapping: ColumnMapping = EVENT_COLUMNS) -> list[tuple]:

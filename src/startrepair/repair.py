@@ -269,8 +269,7 @@ def repair_start_times(
                 caps[activity] = config.outlier_threshold * typical
             except OverflowError:
                 pass  # a cap beyond timedelta's range never binds: leave uncapped
-        for row, (activity, end, estimate, rule) in enumerate(
-                zip(activities, ends, estimates, rules)):
+        for row, (activity, end, estimate) in enumerate(zip(activities, ends, estimates)):
             cap = caps.get(activity)
             # a bot or instant row's duration is 0, never above a cap
             if cap is None or estimate is None or end - estimate <= cap:

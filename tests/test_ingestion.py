@@ -360,3 +360,17 @@ def test_chunk_of_lines_that_cannot_be_split_goes_to_the_csv_module():
     assert log.trace_ids == ("t1",) and log.resources == ("r1",)
     with pytest.raises(LogFormatError, match=r"^line \d+: iterator should return strings"):
         read_instance_log(iter([header, row.encode()]))
+
+
+def test_csv_fault_reports_after_a_bad_row_read_before_it():
+    # the quoted first cell sends the file to the csv module, which reads rows
+    # 2 and 3 and then refuses row 4's over-long activity: row 3's empty trace
+    # id, read before that fault, is reported first
+    lines = ["case_id,activity,start_time,end_time,resource",
+             '"t1",a,2021-03-01 08:00:00,2021-03-01 09:00:00,r1',
+             ",a,2021-03-01 08:00:00,2021-03-01 09:00:00,r1",
+             "t3," + "a" * 200_000 + ",2021-03-01 08:00:00,2021-03-01 09:00:00,r1"]
+    text = "\n".join(lines) + "\n"
+    for newline in ("", None):
+        with pytest.raises(LogFormatError, match="^row 3: empty trace id$"):
+            read_instance_log(io.StringIO(text, newline=newline))

@@ -195,3 +195,39 @@ def test_refused_value_is_quoted_as_json_only_when_json_can_give_it(key, value, 
     with pytest.raises(ConfigurationError,
                        match=f"^bad generator spec: '{key}' must be .*, got {re.escape(shown)}$"):
         GenSpec.from_dict({"seed": 1, "trace_count": 2, key: value})
+
+
+@pytest.mark.parametrize("depth", [500, 100_000])
+@pytest.mark.parametrize("option, text, refused", [
+    ("--config", '{"input": %s}', "bad config file: 'input' must be a string"),
+    ("--spec", '{"seed": %s, "trace_count": 1}', "bad generator spec: 'seed' must be an integer"),
+], ids=["config", "spec"])
+def test_deeply_nested_settings_file_is_a_one_line_error(tmp_path, capsys, depth, option,
+                                                         text, refused):
+    # a value nested too deep to quote is refused by its depth, and one too
+    # deep for the parser to hold names the file, not a RecursionError's traceback
+    path = tmp_path / "settings.json"
+    path.write_text(text % ("[" * depth + "]" * depth))
+    command = (["repair"] if option == "--config" else ["generate", "--out-truth",
+               tmp_path / "t.csv", "--out-corrupted", tmp_path / "c.csv"])
+    assert run(*command, option, path) == 1
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    if depth == 500:
+        assert err == f"startrepair: error: {refused}, got a value nested more than 100 deep\n"
+    else:
+        assert err.startswith(f"startrepair: error: {str(path)!r}: maximum recursion depth")
+
+
+def test_deeply_nested_library_setting_names_its_field():
+    stages = ()
+    for _ in range(2000):
+        stages = (stages,)
+    cyclic = []
+    cyclic.append(cyclic)
+    with pytest.raises(ConfigurationError,
+                       match="^stages must be .*, got a value nested more than 100 deep$"):
+        GenSpec(seed=1, trace_count=1, stages=stages)
+    with pytest.raises(ConfigurationError, match="^bad generator spec: 'stages' must be .*, "
+                                                 "got a value nested more than 100 deep$"):
+        GenSpec.from_dict({"seed": 1, "trace_count": 1, "stages": cyclic})
