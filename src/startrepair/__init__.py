@@ -35,10 +35,7 @@ from .repair import (
     InstanceRepair,
     RepairConfig,
     RepairOutcome,
-    earliest_start,
-    enablement_time,
     repair_start_times,
-    resource_availability_time,
     typical_repaired_duration,
 )
 

@@ -10,7 +10,8 @@ from itertools import compress, islice
 from operator import eq, itemgetter, lt
 from typing import Iterable
 
-from .model import NUMBER, ActivityInstanceLog, ConfigurationError, LogFormatError, _write_table
+from .model import (NUMBER, ActivityInstanceLog, ConfigurationError, LogFormatError, _quoted,
+                    _write_table)
 
 log = logging.getLogger(__name__)
 _trace, _label, _trace_end = itemgetter(0), itemgetter(3), itemgetter(0, 2)
@@ -33,7 +34,8 @@ class OracleThresholds:
         for name in ("df_threshold", "balance_threshold"):
             value = getattr(self, name)
             if not (NUMBER.valid(value) and 0.0 <= value <= 1.0):
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1], got {_quoted(value, as_json=False)}")
 
 
 class ConcurrencyRelation:

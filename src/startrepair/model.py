@@ -135,8 +135,7 @@ class ActivityInstanceLog:
     from CSV and only repaired, written or evaluated never builds an instance.
     `per_trace_index`, built on first use too, maps each trace to its
     instances sorted by end, with equal ends in log order. The log caches no
-    other grouping: the single anchor lookups of `repair` select their rows
-    from the columns on each call.
+    other grouping.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):

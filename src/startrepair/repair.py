@@ -10,8 +10,7 @@ from math import floor, inf
 from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import (NUMBER, ActivityInstance, ActivityInstanceLog, ConfigurationError, _columns,
-                    _fields)
+from .model import NUMBER, ActivityInstanceLog, ConfigurationError, _columns, _quoted
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -36,14 +35,15 @@ class RepairConfig:
 
     def __post_init__(self):
         if self.statistic not in STATISTICS:
-            raise ConfigurationError(f"unknown statistic: {self.statistic!r}")
+            raise ConfigurationError(
+                f"unknown statistic: {_quoted(self.statistic, as_json=False)}")
         threshold = self.outlier_threshold
         if threshold is not None and not (NUMBER.valid(threshold) and 1 < threshold < inf):
-            raise ConfigurationError(
-                f"outlier_threshold must be finite and > 1, got {threshold!r}")
+            raise ConfigurationError(f"outlier_threshold must be finite and > 1, "
+                                     f"got {_quoted(threshold, as_json=False)}")
         if not isinstance(self.allow_later_start, bool):
-            raise ConfigurationError(
-                f"allow_later_start must be True or False, got {self.allow_later_start!r}")
+            raise ConfigurationError(f"allow_later_start must be True or False, "
+                                     f"got {_quoted(self.allow_later_start, as_json=False)}")
         for name in ("bot_resources", "instant_activities"):
             labels = getattr(self, name)
             # a bare string would split into characters, and None is no label
@@ -53,7 +53,8 @@ class RepairConfig:
                 members = None
             if (isinstance(labels, str) or members is None
                     or not all(isinstance(x, str) for x in members)):
-                raise ConfigurationError(f"{name} must be a set of labels, got {labels!r}")
+                raise ConfigurationError(f"{name} must be a set of labels, "
+                                         f"got {_quoted(labels, as_json=False)}")
             object.__setattr__(self, name, frozenset(filter(None, map(str.strip, members))))
 
 
@@ -77,12 +78,9 @@ class InstanceRepair:
 class RepairOutcome:
     """The repaired log, with the decision behind each start as columns in
     log order: `rats` and `ents` the anchors, `estimates` the earliest start
-    after the outlier cap, and `rules` the rule applied. The single lookups
-    run the same pass, so with no cap each estimate is the very object
-    `earliest_start` gives, and each anchor of a row that is no bot or
-    instant is the object its lookup gives. The `InstanceRepair` audit
-    records are built from these on first access to `per_instance`, so a
-    caller that never reads them does not pay for them.
+    after the outlier cap, and `rules` the rule applied. The `InstanceRepair`
+    audit records are built from these on first access to `per_instance`, so
+    a caller that never reads them does not pay for them.
     """
 
     log: ActivityInstanceLog
@@ -169,55 +167,6 @@ def _decide(trace_ids: Sequence[str], activities: Sequence[str],
     return rats, ents, estimates, repaired, rules
 
 
-def _decided(instance: ActivityInstance, log: ActivityInstanceLog,
-             relation: ConcurrencyRelation = ConcurrencyRelation(),
-             config: RepairConfig = RepairConfig()) -> tuple[Optional[datetime], ...]:
-    """`instance`'s RAT, ENT and estimate: `_decide` over the rows of `log`
-    that end before it and share its trace or its known resource, the only
-    ones that can anchor it, in log order, with `instance` added last. One
-    pass over the log's columns selects them: O(n + k log k) for k rows."""
-    trace, resource, end = instance.trace_id, instance.resource, instance.end
-    rows = [row for row, (t, r, e) in enumerate(zip(log.trace_ids, log.resources, log.ends))
-            if (t == trace or resource is not None and r == resource) and e < end]
-    columns = [[column[row] for row in rows] + [value]
-               for column, value in zip(_columns(log), _fields(instance))]
-    rats, ents, estimates, _, _ = _decide(*columns, relation, config)
-    return rats[-1], ents[-1], estimates[-1]
-
-
-def resource_availability_time(
-    instance: ActivityInstance, log: ActivityInstanceLog
-) -> Optional[datetime]:
-    """Largest end time among instances of the same resource ending strictly
-    before this instance's end; None for the resource's first instance or an
-    unknown resource. Runs the pass of `_decided`."""
-    return _decided(instance, log)[0]
-
-
-def enablement_time(
-    instance: ActivityInstance,
-    log: ActivityInstanceLog,
-    relation: ConcurrencyRelation,
-) -> Optional[datetime]:
-    """Largest end time among same-trace instances ending strictly before this
-    instance's end whose activity is not concurrent with it; None when empty.
-    Runs the pass of `_decided`."""
-    return _decided(instance, log, relation)[1]
-
-
-def earliest_start(
-    instance: ActivityInstance,
-    log: ActivityInstanceLog,
-    relation: ConcurrencyRelation,
-    config: RepairConfig = RepairConfig(),
-) -> Optional[datetime]:
-    """Earliest instant the instance could have started: max of resource
-    availability and enablement, with the bot/instant and missing-resource
-    rules, before the outlier cap; `repair_start_times` gives the same object.
-    Runs the pass of `_decided`."""
-    return _decided(instance, log, relation, config)[2]
-
-
 def typical_repaired_duration(
     durations: list[timedelta], statistic: str
 ) -> Optional[timedelta]:
@@ -232,7 +181,7 @@ def typical_repaired_duration(
     if statistic == "mode":
         return timedelta(seconds=min(statistics.multimode(
             floor(d.total_seconds()) for d in durations)))
-    raise ConfigurationError(f"unknown statistic: {statistic!r}")
+    raise ConfigurationError(f"unknown statistic: {_quoted(statistic, as_json=False)}")
 
 
 def repair_start_times(

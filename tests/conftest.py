@@ -3,12 +3,14 @@ from __future__ import annotations
 import csv
 import io
 from collections import defaultdict
+from dataclasses import replace
 from datetime import datetime, timezone
 from operator import attrgetter
 
 import pytest
 
-from startrepair import ActivityInstance, ActivityInstanceLog
+from startrepair import (ActivityInstance, ActivityInstanceLog, ConcurrencyRelation,
+                         RepairConfig, repair_start_times)
 
 
 def ts(text: str) -> datetime:
@@ -73,9 +75,25 @@ def resource_buckets(log: ActivityInstanceLog) -> dict:
     return {key: tuple(bucket) for key, bucket in buckets.items()}
 
 
+def row_of(log: ActivityInstanceLog, trace: str, activity: str) -> int:
+    rows = [row for row, key in enumerate(zip(log.trace_ids, log.activities))
+            if key == (trace, activity)]
+    assert len(rows) == 1
+    return rows[0]
+
+
 def find(log: ActivityInstanceLog, trace: str, activity: str) -> ActivityInstance:
-    matches = [
-        i for i in log.instances if i.trace_id == trace and i.activity == activity
-    ]
-    assert len(matches) == 1
-    return matches[0]
+    return log.instances[row_of(log, trace, activity)]
+
+
+def probe_decision(probe: ActivityInstance, log: ActivityInstanceLog,
+                   relation: ConcurrencyRelation = ConcurrencyRelation(),
+                   config: RepairConfig = RepairConfig()) -> tuple:
+    """The RAT, ENT and estimate before the outlier cap of `probe`, an
+    instance that is no row of `log`, from one repair of `log` with `probe`
+    appended as its last row. The repair visits rows in a stable end order
+    and anchors a row only on strictly earlier ends, so no row that ends with
+    or after the probe changes them, and of equal ends the probe comes last."""
+    outcome = repair_start_times(ActivityInstanceLog([*log.instances, probe]), relation,
+                                 replace(config, outlier_threshold=None))
+    return outcome.rats[-1], outcome.ents[-1], outcome.estimates[-1]

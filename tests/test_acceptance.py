@@ -21,20 +21,17 @@ from startrepair import (
     Histogram,
     RepairConfig,
     discover_from_log,
-    earliest_start,
-    enablement_time,
     evaluate_logs,
     generate,
     read_instance_log,
     repair_start_times,
-    resource_availability_time,
     timestamp_histogram,
     typical_repaired_duration,
     wasserstein_1d,
     write_activity_instance_log,
 )
 
-from .conftest import find, resource_buckets, shipping_instances, ts
+from .conftest import resource_buckets, row_of, shipping_instances, ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
 from .test_repair import brute_force_ent, brute_force_rat
 
@@ -72,13 +69,11 @@ def random_spec(rng: random.Random, **overrides) -> GenSpec:
 def test_criterion_1_running_example_fidelity(shipping):
     began = time.perf_counter()
     relation = discover_from_log(shipping)
-    deliver = find(shipping, "24", "Deliver Package")
-    assert resource_availability_time(deliver, shipping) == ts("2021-03-07 16:34:10")
-    assert enablement_time(deliver, shipping, relation) == ts("2021-03-08 11:11:05")
+    deliver = row_of(shipping, "24", "Deliver Package")
     outcome = repair_start_times(shipping, relation)
-    assert find(outcome.repaired_log, "24", "Deliver Package").start == ts(
-        "2021-03-08 11:11:05"
-    )
+    assert outcome.rats[deliver] == ts("2021-03-07 16:34:10")
+    assert outcome.ents[deliver] == ts("2021-03-08 11:11:05")
+    assert outcome.repaired_log.starts[deliver] == ts("2021-03-08 11:11:05")
     elapsed = time.perf_counter() - began
     assert elapsed < 1.0
     report("1 running-example fidelity (rat/ent/repaired start, "
@@ -88,8 +83,8 @@ def test_criterion_1_running_example_fidelity(shipping):
 def test_criterion_2_enablement_concurrency_fidelity(shipping):
     relation = discover_from_log(shipping)
     assert relation.concurrent("Prepare Package", "Prepare Invoice")
-    prepare = find(shipping, "24", "Prepare Package")
-    assert enablement_time(prepare, shipping, relation) == ts("2021-03-07 13:12:11")
+    ents = repair_start_times(shipping, relation).ents
+    assert ents[row_of(shipping, "24", "Prepare Package")] == ts("2021-03-07 13:12:11")
     report("2 enablement/concurrency fidelity")
 
 
@@ -165,16 +160,12 @@ def test_criterion_5_outlier_cap():
         spec = random_spec(rng)
         _, corrupted = generate(spec)
         relation = spec.concurrency_pairs()
-        pass1 = {
-            id(inst): earliest_start(inst, corrupted, relation)
-            for inst in corrupted.instances
-        }
+        pass1 = repair_start_times(corrupted, relation).estimates  # before any cap
         for config in configurations:
             if config.outlier_threshold is None:
                 continue
             durations: dict[str, list[timedelta]] = {}
-            for inst in corrupted.instances:
-                anchor = pass1[id(inst)]
+            for inst, anchor in zip(corrupted.instances, pass1):
                 if anchor is not None:
                     durations.setdefault(inst.activity, []).append(inst.end - anchor)
             typical = {
@@ -308,11 +299,10 @@ def exhaustive_instance_universe():
 def assert_brute_force_agreement(log: ActivityInstanceLog,
                                  relations) -> None:
     for relation in relations:
-        for inst in log.instances:
-            assert resource_availability_time(inst, log) == brute_force_rat(inst, log)
-            assert enablement_time(inst, log, relation) == brute_force_ent(
-                inst, log, relation
-            )
+        outcome = repair_start_times(log, relation)
+        for inst, rat, ent in zip(log.instances, outcome.rats, outcome.ents):
+            assert rat == brute_force_rat(inst, log)
+            assert ent == brute_force_ent(inst, log, relation)
 
 
 def test_criterion_8_brute_force_rat_ent_equivalence():

@@ -18,10 +18,7 @@ from startrepair import (
     ConfigurationError,
     RepairConfig,
     discover_from_log,
-    earliest_start,
-    enablement_time,
     repair_start_times,
-    resource_availability_time,
     typical_repaired_duration,
     write_activity_instance_log,
 )
@@ -33,7 +30,7 @@ from startrepair.repair import (
 )
 from startrepair.repair import RULE_CAPPED, RULE_ESTIMATED
 
-from .conftest import find, resource_buckets, ts
+from .conftest import find, probe_decision, resource_buckets, row_of, ts
 from .strategies import ACTIVITIES, instance_logs, instances
 from .strategies import TRACES
 from .strategies import RESOURCES
@@ -66,18 +63,18 @@ def brute_force_ent(instance, log, relation):
 
 class TestResourceAvailability:
     def test_leela_deliver_package(self, shipping_log):
-        instance = find(shipping_log, "24", "Deliver Package")
-        assert resource_availability_time(instance, shipping_log) == ts(
+        rats = repair_start_times(shipping_log, EMPTY).rats
+        assert rats[row_of(shipping_log, "24", "Deliver Package")] == ts(
             "2021-03-07 16:34:10"
         )
 
     def test_first_instance_of_resource_absent(self, shipping_log):
-        instance = find(shipping_log, "23", "Register Order")
-        assert resource_availability_time(instance, shipping_log) is None
+        rats = repair_start_times(shipping_log, EMPTY).rats
+        assert rats[row_of(shipping_log, "23", "Register Order")] is None
 
     def test_fry_register_order_trace_24(self, shipping_log):
-        instance = find(shipping_log, "24", "Register Order")
-        assert resource_availability_time(instance, shipping_log) == ts(
+        rats = repair_start_times(shipping_log, EMPTY).rats
+        assert rats[row_of(shipping_log, "24", "Register Order")] == ts(
             "2021-03-07 13:05:37"
         )
 
@@ -88,27 +85,25 @@ class TestResourceAvailability:
             ActivityInstance("2", "b", ts("2021-03-07 12:10:00"),
                              ts("2021-03-07 12:30:00"), "r"),
         ])
-        for instance in log.instances:
-            assert resource_availability_time(instance, log) is None
+        assert repair_start_times(log, EMPTY).rats == (None, None)
 
 
 class TestEnablement:
     def test_deliver_package_trace_24(self, shipping_log):
-        relation = discover_from_log(shipping_log)
-        instance = find(shipping_log, "24", "Deliver Package")
-        assert enablement_time(instance, shipping_log, relation) == ts(
+        ents = repair_start_times(shipping_log, discover_from_log(shipping_log)).ents
+        assert ents[row_of(shipping_log, "24", "Deliver Package")] == ts(
             "2021-03-08 11:11:05"
         )
 
     def test_first_in_trace_absent(self, shipping_log):
-        instance = find(shipping_log, "24", "Register Order")
-        assert enablement_time(instance, shipping_log, EMPTY) is None
+        ents = repair_start_times(shipping_log, EMPTY).ents
+        assert ents[row_of(shipping_log, "24", "Register Order")] is None
 
     def test_concurrent_predecessor_excluded(self, shipping_log):
         relation = ConcurrencyRelation([("Prepare Package", "Prepare Invoice")])
-        instance = find(shipping_log, "24", "Prepare Package")
+        ents = repair_start_times(shipping_log, relation).ents
         # Prepare Invoice's end (15:43:01) is skipped; Register Order enables
-        assert enablement_time(instance, shipping_log, relation) == ts(
+        assert ents[row_of(shipping_log, "24", "Prepare Package")] == ts(
             "2021-03-07 13:12:11"
         )
 
@@ -123,28 +118,30 @@ class TestEnablement:
             ActivityInstance("2", "a", ts("2021-03-07 12:00:00"),
                              ts("2021-03-07 12:20:00"), "r"),
         ])
-        for instance in log.instances[1:4]:
-            assert enablement_time(instance, log, EMPTY) == ts(
-                "2021-03-07 11:40:00") == brute_force_ent(instance, log, EMPTY)
+        ents = repair_start_times(log, EMPTY).ents
+        for row in range(1, 4):
+            assert ents[row] == ts(
+                "2021-03-07 11:40:00") == brute_force_ent(log.instances[row], log, EMPTY)
 
 
 class TestEarliestStart:
     def test_max_of_rat_and_ent(self, shipping_log):
-        relation = discover_from_log(shipping_log)
-        instance = find(shipping_log, "24", "Deliver Package")
-        assert earliest_start(instance, shipping_log, relation) == ts(
+        estimates = repair_start_times(shipping_log, discover_from_log(shipping_log)).estimates
+        assert estimates[row_of(shipping_log, "24", "Deliver Package")] == ts(
             "2021-03-08 11:11:05"
         )
 
     def test_bot_resource_pins_to_end(self, shipping_log):
         config = RepairConfig(bot_resources={"Leela"})
-        instance = find(shipping_log, "24", "Deliver Package")
-        assert earliest_start(instance, shipping_log, EMPTY, config) == instance.end
+        row = row_of(shipping_log, "24", "Deliver Package")
+        estimates = repair_start_times(shipping_log, EMPTY, config).estimates
+        assert estimates[row] == shipping_log.ends[row]
 
     def test_instant_activity_pins_to_end(self, shipping_log):
         config = RepairConfig(instant_activities={"Deliver Package"})
-        instance = find(shipping_log, "24", "Deliver Package")
-        assert earliest_start(instance, shipping_log, EMPTY, config) == instance.end
+        row = row_of(shipping_log, "24", "Deliver Package")
+        estimates = repair_start_times(shipping_log, EMPTY, config).estimates
+        assert estimates[row] == shipping_log.ends[row]
 
     def test_missing_resource_uses_enablement_only(self):
         log = ActivityInstanceLog([
@@ -153,7 +150,7 @@ class TestEarliestStart:
             ActivityInstance("1", "b", ts("2021-03-07 12:45:00"),
                              ts("2021-03-07 13:00:00"), None),
         ])
-        assert earliest_start(log.instances[1], log, EMPTY) == ts(
+        assert repair_start_times(log, EMPTY).estimates[1] == ts(
             "2021-03-07 12:30:00"
         )
 
@@ -162,7 +159,7 @@ class TestEarliestStart:
             ActivityInstance("1", "a", ts("2021-03-07 12:00:00"),
                              ts("2021-03-07 12:30:00"), "r"),
         ])
-        assert earliest_start(log.instances[0], log, EMPTY) is None
+        assert repair_start_times(log, EMPTY).estimates[0] is None
 
 
 class TestTypicalDuration:
@@ -403,13 +400,10 @@ class TestRepairProperties:
     @given(instance_logs(max_size=12))
     def test_indexed_equals_brute_force(self, log):
         relation = discover_from_log(log)
-        for instance in log.instances:
-            assert resource_availability_time(instance, log) == brute_force_rat(
-                instance, log
-            )
-            assert enablement_time(instance, log, relation) == brute_force_ent(
-                instance, log, relation
-            )
+        outcome = repair_start_times(log, relation)
+        for instance, rat, ent in zip(log.instances, outcome.rats, outcome.ents):
+            assert rat == brute_force_rat(instance, log)
+            assert ent == brute_force_ent(instance, log, relation)
 
     # the probe is no row of the log: it shares the log's trace, a resource,
     # both or neither, or has no resource
@@ -422,8 +416,7 @@ class TestRepairProperties:
                                     resources=(*log.resources, "nobody", None)))
         relation = ConcurrencyRelation(pairs)
         config = RepairConfig(bot_resources=bots, instant_activities=instants)
-        rat = resource_availability_time(probe, log)
-        ent = enablement_time(probe, log, relation)
+        rat, ent, _ = probe_decision(probe, log, relation)
         assert rat == brute_force_rat(probe, log)
         assert ent == brute_force_ent(probe, log, relation)
         if probe.resource in bots or probe.activity in instants:
@@ -431,7 +424,7 @@ class TestRepairProperties:
         else:
             expected = max((anchor for anchor in (rat, ent) if anchor is not None),
                            default=None)
-        assert earliest_start(probe, log, relation, config) == expected
+        assert probe_decision(probe, log, relation, config)[2] == expected
 
     @given(instance_logs(max_size=12))
     def test_repair_invariants(self, log):
@@ -464,19 +457,6 @@ class TestRepairProperties:
                 and max(record.rat, record.ent) <= instance.start
             ):
                 assert record.repaired_start == max(record.rat, record.ent)
-
-    @given(instance_logs(max_size=12),
-           st.frozensets(st.sampled_from(("r1", "r2"))),
-           st.frozensets(st.sampled_from(ACTIVITIES)))
-    def test_repair_agrees_with_earliest_start(self, log, bots, instants):
-        relation = discover_from_log(log)
-        config = RepairConfig(bot_resources=bots, instant_activities=instants)
-        outcome = repair_start_times(log, relation, config)
-        for record, instance in zip(outcome.per_instance, log.instances):
-            assert record.earliest_start == earliest_start(
-                instance, log, relation, config)
-            if record.rule_applied == RULE_BOT_OR_INSTANT:
-                assert record.rat is None and record.ent is None
 
     def test_audit_records_built_only_on_request(self, shipping_log):
         outcome = repair_start_times(shipping_log, discover_from_log(shipping_log))
@@ -558,8 +538,6 @@ class TestTieOrder:
             rat = None if instance.resource is None else tie_anchor(log, row, log.resources)
             ent = tie_anchor(log, row, log.trace_ids, relation)
             assert record.rat is rat and record.ent is ent
-            assert resource_availability_time(instance, log) is rat
-            assert enablement_time(instance, log, relation) is ent
         for index, keys in ((resource_buckets(log), log.resources),
                             (log.per_trace_index, log.trace_ids)):
             assert index.keys() == set(keys)
@@ -587,67 +565,16 @@ class TestTieOrder:
         assert outcome.rats[2] is rat and outcome.ents[2] is ent
         assert outcome.estimates[2] is rat
         assert outcome.repaired_log.starts[2] is rat
-        assert earliest_start(log.instances[2], log, EMPTY) is rat
         sink = io.StringIO()
         write_activity_instance_log(outcome.repaired_log, sink)
         assert sink.getvalue().splitlines()[3] == (
             "t,b,2021-03-07 10:00:00+00:00,2021-03-07 11:00:00+00:00,r")
-
-    # the setting of the property above, with bots and instants
-    @given(instance_logs(horizon_seconds=3, max_duration_seconds=2, max_size=30),
-           st.frozensets(st.sampled_from(TRACES)),
-           st.lists(st.tuples(st.sampled_from(ACTIVITIES), st.sampled_from(ACTIVITIES))),
-           st.frozensets(st.sampled_from(("r1", "r2"))),
-           st.frozensets(st.sampled_from(ACTIVITIES)))
-    def test_single_lookups_give_the_objects_of_the_pass(self, log, moved, pairs, bots,
-                                                         instants):
-        plus_two = timezone(timedelta(hours=2))
-        log = ActivityInstanceLog(
-            replace(i, start=i.start.astimezone(plus_two), end=i.end.astimezone(plus_two))
-            if i.trace_id in moved else i
-            for i in log.instances)
-        relation = ConcurrencyRelation(pairs)
-        config = RepairConfig(bot_resources=bots, instant_activities=instants)
-        outcome = repair_start_times(log, relation, config)
-        for row, instance in enumerate(log.instances):
-            assert earliest_start(instance, log, relation, config) is outcome.estimates[row]
-            if outcome.rules[row] != RULE_BOT_OR_INSTANT:
-                assert resource_availability_time(instance, log) is outcome.rats[row]
-                assert enablement_time(instance, log, relation) is outcome.ents[row]
 
 
 def columnar_copy(log):
     """An equal log built from `log`'s columns, with no view built yet."""
     return ActivityInstanceLog.from_columns(log.trace_ids, log.activities, log.starts,
                                             log.ends, log.resources)
-
-
-def test_lookups_build_no_instance_view(shipping_log):
-    log = columnar_copy(shipping_log)
-    assert log == shipping_log
-    relation = discover_from_log(shipping_log)
-    for instance in shipping_log.instances:
-        assert resource_availability_time(instance, log) == brute_force_rat(
-            instance, shipping_log)
-        assert enablement_time(instance, log, relation) == brute_force_ent(
-            instance, shipping_log, relation)
-        earliest_start(instance, log, relation)
-    for view in ("instances", "per_trace_index"):
-        assert view not in log.__dict__
-
-
-def test_lookups_cache_nothing_on_the_log(shipping_log):
-    # each lookup selects its rows from the columns, so no grouping outlives it
-    log = columnar_copy(shipping_log)
-    relation = discover_from_log(log)
-    cached = dict(log.__dict__)
-    for instance in shipping_log.instances:
-        resource_availability_time(instance, log)
-        assert log.__dict__ == cached
-        enablement_time(instance, log, relation)
-        assert log.__dict__ == cached
-        earliest_start(instance, log, relation)
-        assert log.__dict__ == cached
 
 
 def test_repair_caches_nothing_on_the_log(shipping_log):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from datetime import timedelta
 
 import pytest
 
@@ -231,3 +232,33 @@ def test_deeply_nested_library_setting_names_its_field():
     with pytest.raises(ConfigurationError, match="^bad generator spec: 'stages' must be .*, "
                                                  "got a value nested more than 100 deep$"):
         GenSpec.from_dict({"seed": 1, "trace_count": 1, "stages": cyclic})
+
+
+DEEP_LIST = []
+for _ in range(2000):
+    DEEP_LIST = [DEEP_LIST]
+
+
+@pytest.mark.parametrize("refuse, refused", [
+    (lambda v: repair.RepairConfig(statistic=v), "unknown statistic: "),
+    (lambda v: repair.RepairConfig(outlier_threshold=v),
+     "outlier_threshold must be finite and > 1, got "),
+    (lambda v: repair.RepairConfig(allow_later_start=v),
+     "allow_later_start must be True or False, got "),
+    (lambda v: repair.RepairConfig(bot_resources=v),
+     "bot_resources must be a set of labels, got "),
+    (lambda v: repair.RepairConfig(instant_activities=v),
+     "instant_activities must be a set of labels, got "),
+    (lambda v: OracleThresholds(df_threshold=v), "df_threshold must be in [0, 1], got "),
+    (lambda v: OracleThresholds(balance_threshold=v),
+     "balance_threshold must be in [0, 1], got "),
+    (lambda v: repair.typical_repaired_duration([timedelta(0)], v),
+     "unknown statistic: "),
+], ids=["statistic", "outlier_threshold", "allow_later_start", "bot_resources",
+        "instant_activities", "df_threshold", "balance_threshold",
+        "typical_repaired_duration"])
+def test_deeply_nested_library_value_is_refused_by_its_depth(refuse, refused):
+    # repr would recurse past the interpreter's limit on a 2000-deep list
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(refused)}a value nested more than 100 deep$"):
+        refuse(DEEP_LIST)
