@@ -18,6 +18,7 @@ from .model import (
     INSTANCE_COLUMNS,
     LABELS,
     NUMBER,
+    SHARE,
     SWITCH,
     TEXT,
     ActivityInstanceLog,
@@ -30,7 +31,7 @@ from .model import (
     to_activity_instances,
     write_activity_instance_log,
 )
-from .repair import STATISTICS, RepairConfig, repair_start_times
+from .repair import OUTLIER_THRESHOLD, STATISTIC, RepairConfig, repair_start_times
 
 # column setting -> the ColumnMapping field it names
 _COLUMN_KEYS = {
@@ -43,16 +44,16 @@ _COLUMN_KEYS = {
 # flags of the subcommands that take them; flags override the file
 CONFIG_KEYS = {
     "input": TEXT, "output": TEXT, "report": TEXT, **dict.fromkeys(_COLUMN_KEYS, TEXT),
-    "statistic": TEXT, "outlier_threshold": NUMBER,
+    "statistic": STATISTIC, "outlier_threshold": OUTLIER_THRESHOLD,
     "bot_resources": LABELS, "instant_activities": LABELS,
     "allow_later_start": SWITCH,
-    "balance_threshold": NUMBER, "df_threshold": NUMBER, "concurrency_file": TEXT,
+    "balance_threshold": SHARE, "df_threshold": SHARE, "concurrency_file": TEXT,
 }
-# the argparse keywords of a --key-name flag, by its setting's kind, or by the
-# setting for the one whose flag says more than its kind
-_FLAGS = {NUMBER: {"type": float}, SWITCH: {"action": "store_const", "const": True},
-          LABELS: {"help": "comma-separated labels"},
-          "statistic": {"help": " or ".join(STATISTICS)}}
+# the argparse keywords of a --key-name flag, by its setting's type test, or
+# by the setting for the one whose flag says more than its type
+_FLAGS = {NUMBER.valid: {"type": float}, SWITCH.valid: {"action": "store_const", "const": True},
+          LABELS.valid: {"help": "comma-separated labels"},
+          "statistic": {"help": STATISTIC.description}}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -210,7 +211,7 @@ def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
     parser.set_defaults(setting_kinds={key: CONFIG_KEYS[key] for key in keys})
     for key in keys:
         parser.add_argument("--" + key.replace("_", "-"),
-                            **_FLAGS.get(key, _FLAGS.get(CONFIG_KEYS[key], {})))
+                            **_FLAGS.get(key, _FLAGS.get(CONFIG_KEYS[key].valid, {})))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,7 @@ from itertools import compress, islice
 from operator import eq, itemgetter, lt
 from typing import Iterable
 
-from .model import (NUMBER, ActivityInstanceLog, ConfigurationError, LogFormatError, _quoted,
-                    _write_table)
+from .model import SHARE, ActivityInstanceLog, LogFormatError, _write_table, check_fields
 
 log = logging.getLogger(__name__)
 _trace, _label, _trace_end = itemgetter(0), itemgetter(3), itemgetter(0, 2)
@@ -24,18 +23,15 @@ class OracleThresholds:
     `df_threshold` filters noise: a direction observed fewer than
     df_threshold * max(count(a,b), count(b,a)) times counts as unobserved.
     `balance_threshold` bounds the imbalance |ab - ba| / (ab + ba) below which
-    a bidirectional pair is declared concurrent.
+    a bidirectional pair is declared concurrent. Each is checked by its kind,
+    `SHARE`, a number in [0, 1], the kind of its config-file key too.
     """
 
     df_threshold: float = 0.05
     balance_threshold: float = 0.75
 
     def __post_init__(self):
-        for name in ("df_threshold", "balance_threshold"):
-            value = getattr(self, name)
-            if not (NUMBER.valid(value) and 0.0 <= value <= 1.0):
-                raise ConfigurationError(
-                    f"{name} must be in [0, 1], got {_quoted(value, as_json=False)}")
+        check_fields(vars(self), {"df_threshold": SHARE, "balance_threshold": SHARE})
 
 
 class ConcurrencyRelation:

@@ -8,27 +8,32 @@ from itertools import combinations
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import (INTEGER, NUMBER, RANGE, STAGES, SWITCH, TIMESTAMP, ActivityInstanceLog,
-                    ConfigurationError, Kind, _quoted, checked_settings)
+from .model import (INTEGER, LABELS, SHARE, SWITCH, TIMESTAMP, ActivityInstanceLog,
+                    ConfigurationError, Kind, check_fields, checked_settings)
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
-
+# the kinds of the spec's bounded keys; `GenSpec` checks its fields by them
+COUNT = INTEGER._replace(description="an integer >= 1", within=lambda v: v >= 1)
+RANGE = Kind("a [low, high] pair of integers with 0 <= low <= high",
+             lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(INTEGER.valid, v)),
+             tuple, lambda v: 0 <= v[0] <= v[1])
+DURATIONS = RANGE._replace(description="a [low, high] pair of integers with 1 <= low <= high",
+                           within=lambda v: 1 <= v[0] <= v[1])
+STAGES = Kind("a non-empty list of activities or non-empty lists of activities, "
+              "each label non-blank",
+              lambda v: isinstance(v, (list, tuple)) and all(map(LABELS.valid, v)),
+              within=lambda v: len(v) > 0 and all(
+                  stage and all(map(str.strip, [stage] if isinstance(stage, str) else stage))
+                  for stage in v))
 # generator spec key -> its kind; README lists the same keys
 SPEC_KEYS = {
-    "seed": INTEGER, "trace_count": INTEGER, "resource_count": INTEGER, "stages": STAGES,
-    "duration_range": RANGE, "delay_range": RANGE, "arrival_gap_range": RANGE,
-    "missing_resource_rate": NUMBER, "multitasking": SWITCH, "first_arrival": TIMESTAMP,
+    "seed": INTEGER, "trace_count": COUNT, "resource_count": COUNT, "stages": STAGES,
+    "duration_range": DURATIONS, "delay_range": RANGE, "arrival_gap_range": RANGE,
+    "missing_resource_rate": SHARE, "multitasking": SWITCH, "first_arrival": TIMESTAMP,
 }
 # a spec's `first_arrival` is the datetime that `from_dict` converts its text to
 _DATETIME = Kind("a datetime", lambda v: isinstance(v, datetime))
-
-
-def _listed(value, levels: int = 2):
-    """`value` with each tuple in its top `levels` levels a list, as JSON
-    gives a sequence; no kind looks deeper than two."""
-    return ([_listed(item, levels - 1) for item in value]
-            if levels and isinstance(value, (tuple, list)) else value)
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class GenSpec:
     `multitasking` drops the resource-serialization constraint to test
     graceful degradation. A naive `first_arrival` is taken as UTC, as every
     reader takes an offset-free stamp, so that a written log reads back equal.
+    Each field is checked by the kind of its key in `SPEC_KEYS`, type and
+    bound, but `first_arrival`, which must be a datetime.
     """
 
     seed: int
@@ -59,35 +66,13 @@ class GenSpec:
     first_arrival: datetime = _EPOCH
 
     def __post_init__(self):
-        if isinstance(self.stages, str):  # would silently split into letters
-            raise ConfigurationError(f"stages must be a sequence of stages, "
-                                     f"got {self.stages!r}")
-        for name, kind in SPEC_KEYS.items():
-            kind = _DATETIME if kind is TIMESTAMP else kind
-            value = getattr(self, name)
-            if not kind.valid(_listed(value)):
-                raise ConfigurationError(f"{name} must be {kind.description}, "
-                                         f"got {_quoted(value, as_json=False)}")
-        if self.trace_count < 1:
-            raise ConfigurationError("trace_count must be >= 1")
-        if self.resource_count < 1:
-            raise ConfigurationError("resource_count must be >= 1")
-        stages = tuple((stage.strip(),) if isinstance(stage, str)
-                       else tuple(map(str.strip, stage)) for stage in self.stages)
-        if not stages or not all(stage and all(stage) for stage in stages):
-            raise ConfigurationError("stages and their activity labels must be non-empty")
-        object.__setattr__(self, "stages", stages)
+        check_fields(vars(self), {**SPEC_KEYS, "first_arrival": _DATETIME})
+        object.__setattr__(self, "stages", tuple(
+            (stage.strip(),) if isinstance(stage, str) else tuple(map(str.strip, stage))
+            for stage in self.stages))
         if self.first_arrival.tzinfo is None:
             object.__setattr__(self, "first_arrival",
                                self.first_arrival.replace(tzinfo=timezone.utc))
-        for name in ("duration_range", "delay_range", "arrival_gap_range"):
-            low, high = getattr(self, name)
-            if low > high or low < 0:
-                raise ConfigurationError(f"bad {name}: ({low}, {high})")
-        if self.duration_range[0] < 1:
-            raise ConfigurationError("durations must be >= 1 second")
-        if not 0.0 <= self.missing_resource_rate <= 1.0:
-            raise ConfigurationError("missing_resource_rate must be in [0, 1]")
 
     def concurrency_pairs(self) -> ConcurrencyRelation:
         """The relation implied by the template: pairs sharing a stage."""

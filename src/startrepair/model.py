@@ -41,29 +41,31 @@ def format_timestamp(ts: datetime) -> str:
     return ts.isoformat(sep=" ")
 
 
-# the kind of a JSON setting: what its value must be, the test of the value,
-# and its conversion, if any. A number is an int or a float, never a bool, and
-# an int is read from its digits: 2 as 2.0, 10**400 as inf
-Kind = namedtuple("Kind", "description valid convert", defaults=(None,))
+# the kind of a setting: its description, which names its type and its bound;
+# the test of its type; the conversion of a JSON value; and the test of its
+# bound. A file's key and the config field of its name share one kind:
+# `checked_settings` bounds the file's value once converted, and `check_fields`
+# the field's value as given. A number is an int or a float, never a bool, and
+# a JSON int is read from its digits: 2 as 2.0, 10**400 as inf
+Kind = namedtuple("Kind", "description valid convert within",
+                  defaults=(lambda v: v, lambda v: True))
 TEXT = Kind("a string", lambda v: isinstance(v, str))
 NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
               lambda v: float(str(v)))
 SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
 LABELS = Kind("a string or a list of strings", lambda v: TEXT.valid(v) or (
-    isinstance(v, list) and all(map(TEXT.valid, v))))
+    isinstance(v, (list, tuple)) and all(map(TEXT.valid, v))))
 INTEGER = Kind("an integer", lambda v: NUMBER.valid(v) and isinstance(v, int))
-RANGE = Kind("a [low, high] pair of integers",
-             lambda v: isinstance(v, list) and len(v) == 2 and all(map(INTEGER.valid, v)), tuple)
-STAGES = Kind("a list of activities or lists of activities",
-              lambda v: isinstance(v, list) and all(map(LABELS.valid, v)))
+SHARE = NUMBER._replace(description="a number in [0, 1]", within=lambda v: 0 <= v <= 1)
 TIMESTAMP = Kind("an ISO 8601 timestamp", TEXT.valid, parse_timestamp)
 _DEEPEST = 100  # the deepest refused value a message quotes
 
 
 def checked_settings(data, kinds: dict, subject: str) -> dict:
-    """The settings of the JSON object `data`, each checked and converted as
-    its `Kind` in `kinds` says; a null value counts as not given. A fault is a
-    ConfigurationError that begins `bad {subject}: `."""
+    """The settings of the JSON object `data`, each checked, converted and
+    bounded as its `Kind` in `kinds` says; a null value counts as not given.
+    A fault is a ConfigurationError that begins `bad {subject}: `, and a
+    refused value reads `'<key>' must be <description>, got <JSON>`."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"bad {subject}: expected a JSON object")
     unknown = sorted(set(data) - set(kinds))
@@ -73,14 +75,27 @@ def checked_settings(data, kinds: dict, subject: str) -> dict:
     for key, value in data.items():
         if value is None:
             continue
-        description, valid, convert = kinds[key]
+        description, valid, convert, within = kinds[key]
         with suppress(LogFormatError):  # a timestamp's text that is no timestamp
-            if valid(value):
-                settings[key] = convert(value) if convert else value
+            if valid(value) and within(converted := convert(value)):
+                settings[key] = converted
                 continue
         raise ConfigurationError(
             f"bad {subject}: {key!r} must be {description}, got {_quoted(value)}")
     return settings
+
+
+def check_fields(values: dict, kinds: dict) -> None:
+    """Refuse the first value of `values`, taken in the order of `kinds`,
+    that is not of its `Kind` or is out of its bound, as given, with the
+    ConfigurationError `<name> must be <description>, got <repr>`: the one
+    check of a config object's fields, worded as `checked_settings` words a
+    file's fault."""
+    for name, kind in kinds.items():
+        value = values[name]
+        if not (kind.valid(value) and kind.within(value)):
+            raise ConfigurationError(f"{name} must be {kind.description}, "
+                                     f"got {_quoted(value, as_json=False)}")
 
 
 def _quoted(value, as_json: bool = True) -> str:

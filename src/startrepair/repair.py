@@ -10,7 +10,8 @@ from math import floor, inf
 from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import NUMBER, ActivityInstanceLog, ConfigurationError, _columns, _quoted
+from .model import (NUMBER, SWITCH, TEXT, ActivityInstanceLog, ConfigurationError, _columns,
+                    _quoted, check_fields)
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -20,12 +21,18 @@ RULE_NO_EVIDENCE = "no_evidence"
 ALL_RULES = (RULE_ESTIMATED, RULE_CLAMPED, RULE_CAPPED, RULE_BOT_OR_INSTANT,
              RULE_NO_EVIDENCE)
 STATISTICS = ("median", "mode")  # typical repaired duration for the outlier cap
+STATISTIC = TEXT._replace(description=" or ".join(STATISTICS), within=STATISTICS.__contains__)
+OUTLIER_THRESHOLD = NUMBER._replace(description="a finite number > 1",
+                                    within=lambda v: 1 < v < inf)
 
 
 @dataclass(frozen=True)
 class RepairConfig:
-    """Repair settings. Each bot or instant label is stripped, as input cells
-    are, and empty ones are dropped, so that every label can match a cell."""
+    """Repair settings. `statistic`, `outlier_threshold` (unless None) and
+    `allow_later_start` are checked by the kinds of their config-file keys,
+    `STATISTIC`, `OUTLIER_THRESHOLD` and `SWITCH`. Each bot or instant label
+    is stripped, as input cells are, and empty ones are dropped, so that every
+    label can match a cell."""
 
     statistic: str = "median"  # one of STATISTICS
     outlier_threshold: Optional[float] = None  # > 1; None disables capping
@@ -34,16 +41,8 @@ class RepairConfig:
     allow_later_start: bool = False
 
     def __post_init__(self):
-        if self.statistic not in STATISTICS:
-            raise ConfigurationError(
-                f"unknown statistic: {_quoted(self.statistic, as_json=False)}")
-        threshold = self.outlier_threshold
-        if threshold is not None and not (NUMBER.valid(threshold) and 1 < threshold < inf):
-            raise ConfigurationError(f"outlier_threshold must be finite and > 1, "
-                                     f"got {_quoted(threshold, as_json=False)}")
-        if not isinstance(self.allow_later_start, bool):
-            raise ConfigurationError(f"allow_later_start must be True or False, "
-                                     f"got {_quoted(self.allow_later_start, as_json=False)}")
+        capped = {} if self.outlier_threshold is None else {"outlier_threshold": OUTLIER_THRESHOLD}
+        check_fields(vars(self), {"statistic": STATISTIC, **capped, "allow_later_start": SWITCH})
         for name in ("bot_resources", "instant_activities"):
             labels = getattr(self, name)
             # a bare string would split into characters, and None is no label
@@ -173,15 +172,15 @@ def typical_repaired_duration(
     """Median, or mode over whole-second buckets (ties to the smallest value).
 
     Returns None for empty input: the activity is exempt from outlier capping.
+    A statistic not in `STATISTICS` is refused first, by its kind `STATISTIC`.
     """
+    check_fields({"statistic": statistic}, {"statistic": STATISTIC})
     if not durations:
         return None
     if statistic == "median":
         return timedelta(seconds=statistics.median(d.total_seconds() for d in durations))
-    if statistic == "mode":
-        return timedelta(seconds=min(statistics.multimode(
-            floor(d.total_seconds()) for d in durations)))
-    raise ConfigurationError(f"unknown statistic: {_quoted(statistic, as_json=False)}")
+    return timedelta(seconds=min(statistics.multimode(
+        floor(d.total_seconds()) for d in durations)))
 
 
 def repair_start_times(

@@ -573,15 +573,18 @@ class TestRejectedSettings:
         (("repair", "--input", "{log}", "--output", "{out}", "--resource-column", "nope"),
          None, "mapped columns missing from header: ['nope']"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "delay_range": [10, 5]}',
-         "bad delay_range: (10, 5)"),
+         "bad generator spec: 'delay_range' must be a [low, high] pair of integers with "
+         "0 <= low <= high, got [10, 5]"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "missing_resource_rate": 1.5}',
-         "missing_resource_rate must be in [0, 1]"),
+         "bad generator spec: 'missing_resource_rate' must be a number in [0, 1], got 1.5"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "stages": [""]}',
-         "stages and their activity labels must be non-empty"),
+         "bad generator spec: 'stages' must be a non-empty list of activities or non-empty "
+         'lists of activities, each label non-blank, got [""]'),
         (("repair", "--input", "{log}", "--output", "{out}", "--statistic", "mean"), None,
-         "unknown statistic: 'mean'"),
+         "statistic must be median or mode, got 'mean'"),
         (("repair", "--input", "{log}", "--output", "{out}", "--config", "{json}"),
-         '{"statistic": "mean"}', "unknown statistic: 'mean'"),
+         '{"statistic": "mean"}',
+         "bad config file: 'statistic' must be median or mode, got \"mean\""),
     ], ids=["config-list", "concurrency-no-input", "empty-start-column",
             "event-and-instance-columns", "missing-resource-column",
             "reversed-delay-range", "missing-resource-rate-above-1",

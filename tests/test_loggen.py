@@ -44,13 +44,17 @@ class TestGenSpec:
 
     def test_bare_string_stages_rejected(self):
         # a string is a sequence of letters, not a sequence of stages
-        with pytest.raises(ConfigurationError, match="stages must be a sequence"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "stages must be a non-empty list of activities or non-empty lists of "
+                "activities, each label non-blank, got 'Reg'")):
             GenSpec(seed=1, trace_count=1, stages="Reg")
 
     @pytest.mark.parametrize("stages", [(("a", ""),), ("",)])
     def test_empty_activity_label_rejected(self, stages):
         # generate would fail on it with a log-format error instead
-        with pytest.raises(ConfigurationError, match="activity labels must be non-empty"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "stages must be a non-empty list of activities or non-empty lists of "
+                f"activities, each label non-blank, got {stages!r}")):
             GenSpec(seed=1, trace_count=1, stages=stages)
 
     def test_labels_stripped_so_the_written_log_reads_back(self):

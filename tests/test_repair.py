@@ -195,8 +195,15 @@ class TestTypicalDuration:
         assert typical_repaired_duration([], "median") is None
 
     def test_unknown_statistic_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown statistic: 'mean'"):
+        with pytest.raises(ConfigurationError,
+                           match="^statistic must be median or mode, got 'mean'$"):
             typical_repaired_duration(self.seconds([10, 20]), "mean")
+
+    def test_unknown_statistic_rejected_without_durations(self):
+        # the statistic is refused before the empty input exempts the activity
+        with pytest.raises(ConfigurationError,
+                           match="^statistic must be median or mode, got 'mean'$"):
+            typical_repaired_duration([], "mean")
 
 
 class TestRepairStartTimes:
@@ -323,7 +330,7 @@ class TestRepairStartTimes:
                 ts(f"2021-03-07 {start}:00"), rule)
         # "no" is truthy, so it would let b start later too
         with pytest.raises(ConfigurationError,
-                           match="^allow_later_start must be True or False, got 'no'$"):
+                           match="^allow_later_start must be true or false, got 'no'$"):
             RepairConfig(allow_later_start="no")
 
     def test_config_validation(self):

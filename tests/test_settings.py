@@ -9,9 +9,11 @@ from datetime import timedelta
 
 import pytest
 
-from startrepair import ConfigurationError, GenSpec, repair
+from startrepair import ConfigurationError, GenSpec, concurrency, loggen, repair
 from startrepair.cli import CONFIG_KEYS
 from startrepair.concurrency import OracleThresholds
+from startrepair.loggen import SPEC_KEYS
+from startrepair.model import Kind, checked_settings
 
 from .conftest import SHIPPING_ROWS, shipping_csv
 from .test_cli import assert_one_line_error, run
@@ -182,7 +184,7 @@ AN_OBJECT = object()
 
 
 @pytest.mark.parametrize("key, value, shown", [
-    ("duration_range", (1, 5), "(1, 5)"),
+    ("duration_range", (1, "5"), "(1, '5')"),
     ("stages", ("a", ("b", 3)), "('a', ('b', 3))"),
     ("seed", AN_OBJECT, repr(AN_OBJECT)),
     ("delay_range", [0, (1, 2)], "[0, (1, 2)]"),
@@ -240,20 +242,21 @@ for _ in range(2000):
 
 
 @pytest.mark.parametrize("refuse, refused", [
-    (lambda v: repair.RepairConfig(statistic=v), "unknown statistic: "),
+    (lambda v: repair.RepairConfig(statistic=v), "statistic must be median or mode, got "),
     (lambda v: repair.RepairConfig(outlier_threshold=v),
-     "outlier_threshold must be finite and > 1, got "),
+     "outlier_threshold must be a finite number > 1, got "),
     (lambda v: repair.RepairConfig(allow_later_start=v),
-     "allow_later_start must be True or False, got "),
+     "allow_later_start must be true or false, got "),
     (lambda v: repair.RepairConfig(bot_resources=v),
      "bot_resources must be a set of labels, got "),
     (lambda v: repair.RepairConfig(instant_activities=v),
      "instant_activities must be a set of labels, got "),
-    (lambda v: OracleThresholds(df_threshold=v), "df_threshold must be in [0, 1], got "),
+    (lambda v: OracleThresholds(df_threshold=v),
+     "df_threshold must be a number in [0, 1], got "),
     (lambda v: OracleThresholds(balance_threshold=v),
-     "balance_threshold must be in [0, 1], got "),
+     "balance_threshold must be a number in [0, 1], got "),
     (lambda v: repair.typical_repaired_duration([timedelta(0)], v),
-     "unknown statistic: "),
+     "statistic must be median or mode, got "),
 ], ids=["statistic", "outlier_threshold", "allow_later_start", "bot_resources",
         "instant_activities", "df_threshold", "balance_threshold",
         "typical_repaired_duration"])
@@ -262,3 +265,98 @@ def test_deeply_nested_library_value_is_refused_by_its_depth(refuse, refused):
     with pytest.raises(ConfigurationError,
                        match=f"^{re.escape(refused)}a value nested more than 100 deep$"):
         refuse(DEEP_LIST)
+
+
+# a value out of bound for each setting whose kind has a bound, by the file
+# that gives it; a JSON integer is bounded once read as a float, so 10**400 is inf
+BOUND_FAULTS = [
+    ("config file", "statistic", "mean"),
+    ("config file", "outlier_threshold", 1),
+    ("config file", "outlier_threshold", 10**400),
+    ("config file", "df_threshold", 2),
+    ("config file", "balance_threshold", -0.5),
+    ("generator spec", "trace_count", 0),
+    ("generator spec", "resource_count", 0),
+    ("generator spec", "stages", []),
+    ("generator spec", "stages", ["Register", ["Pack", " "]]),
+    ("generator spec", "duration_range", [0, 5]),
+    ("generator spec", "delay_range", [10, 5]),
+    ("generator spec", "arrival_gap_range", [-1, 5]),
+    ("generator spec", "missing_resource_rate", 1.5),
+]
+FILE_KEYS = {"config file": CONFIG_KEYS, "generator spec": SPEC_KEYS}
+
+
+def test_every_bounded_setting_has_a_bound_fault():
+    unbounded = Kind._field_defaults["within"]
+    assert {(subject, key) for subject, kinds in FILE_KEYS.items()
+            for key, kind in kinds.items() if kind.within is not unbounded} == {
+        (subject, key) for subject, key, _ in BOUND_FAULTS}
+
+
+@pytest.mark.parametrize("subject, key, value", BOUND_FAULTS,
+                         ids=[f"{key}-{n}" for n, (_, key, _) in enumerate(BOUND_FAULTS)])
+def test_bound_fault_in_a_file_names_its_file(tmp_path, capsys, subject, key, value):
+    settings, outputs = tmp_path / "settings.json", [tmp_path / "t.csv", tmp_path / "c.csv"]
+    if subject == "config file":
+        source = tmp_path / "in.csv"
+        source.write_text(shipping_csv())
+        settings.write_text(json.dumps({key: value}))
+        argv = ["repair", "--input", source, "--output", outputs[0], "--config", settings]
+    else:
+        settings.write_text(json.dumps({"seed": 1, "trace_count": 2, key: value}))
+        argv = ["generate", "--spec", settings, "--out-truth", outputs[0],
+                "--out-corrupted", outputs[1]]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"startrepair: error: bad {subject}: {key!r} must be "
+        f"{FILE_KEYS[subject][key].description}, got {json.dumps(value)}\n")
+    assert not any(path.exists() for path in outputs)
+
+
+def kinds_checked(monkeypatch, module, build) -> dict:
+    """The kinds, by field, that `build` checks through `module.check_fields`."""
+    checked, check = {}, module.check_fields
+
+    def recorded(values, kinds):
+        checked.update(kinds)
+        return check(values, kinds)
+
+    monkeypatch.setattr(module, "check_fields", recorded)
+    build()
+    return checked
+
+
+@pytest.mark.parametrize("module, build", [
+    (repair, lambda: repair.RepairConfig(outlier_threshold=2.0)),
+    (concurrency, OracleThresholds),
+], ids=["RepairConfig", "OracleThresholds"])
+def test_config_objects_check_the_kinds_of_their_settings(monkeypatch, module, build):
+    fields = {field.name for field in dataclasses.fields(build())}
+    checked = kinds_checked(monkeypatch, module, build)
+    assert set(checked) == fields - {"bot_resources", "instant_activities"}
+    for field, kind in checked.items():
+        assert kind is CONFIG_KEYS[field], field
+
+
+def test_spec_checks_the_kinds_of_its_keys(monkeypatch):
+    checked = kinds_checked(monkeypatch, loggen, lambda: GenSpec(seed=1, trace_count=1))
+    assert set(checked) == {field.name for field in dataclasses.fields(GenSpec)}
+    for field in set(checked) - {"first_arrival"}:
+        assert checked[field] is SPEC_KEYS[field], field
+
+
+@pytest.mark.parametrize("build, subject, key, value", [
+    (repair.RepairConfig, "config file", "statistic", "mean"),
+    (OracleThresholds, "config file", "df_threshold", 2),
+    (GenSpec, "generator spec", "trace_count", 0),
+])
+def test_constructor_and_file_refuse_a_value_alike(tmp_path, build, subject, key, value):
+    required = {"seed": 1, "trace_count": 1} if build is GenSpec else {}
+    with pytest.raises(ConfigurationError) as built:
+        build(**{**required, key: value})
+    with pytest.raises(ConfigurationError) as read:
+        checked_settings({key: value}, FILE_KEYS[subject], subject)
+    description = f"must be {FILE_KEYS[subject][key].description}, got "
+    assert str(built.value) == f"{key} {description}{value!r}"
+    assert str(read.value) == f"bad {subject}: {key!r} {description}{json.dumps(value)}"
