@@ -52,23 +52,22 @@ CONFIG_KEYS = {
 # the argparse keywords of a --key-name flag, by its setting's type test, or
 # by the setting for the one whose flag says more than its type
 _FLAGS = {NUMBER.valid: {"type": float}, SWITCH.valid: {"action": "store_const", "const": True},
-          LABELS.valid: {"help": "comma-separated labels"},
+          LABELS.valid: {"type": LABELS.convert, "help": "comma-separated labels"},
           "statistic": {"help": STATISTIC.description}}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The subcommand's given settings: its config-file values, checked as
-    `CONFIG_KEYS` says, merged with its flags, which win when given, and each
-    comma-separated label string split into a list; the config objects check
-    and normalise the values."""
+    """The subcommand's given settings: its config-file values, checked and
+    converted as `CONFIG_KEYS` says, merged with its flags, which win when
+    given and which argparse converts by the same kinds; the config objects
+    check and convert the values again, by the kinds of their fields."""
     resolved = ({} if args.config is None else
                 checked_settings(_json_file(args.config), args.setting_kinds, "config file"))
     for key in args.setting_kinds:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    return {key: value.split(",") if CONFIG_KEYS[key] is LABELS and isinstance(value, str)
-            else value for key, value in resolved.items()}
+    return resolved
 
 
 def _settings(cls, resolved: dict):

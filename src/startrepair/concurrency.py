@@ -23,8 +23,9 @@ class OracleThresholds:
     `df_threshold` filters noise: a direction observed fewer than
     df_threshold * max(count(a,b), count(b,a)) times counts as unobserved.
     `balance_threshold` bounds the imbalance |ab - ba| / (ab + ba) below which
-    a bidirectional pair is declared concurrent. Each is checked by its kind,
-    `SHARE`, a number in [0, 1], the kind of its config-file key too.
+    a bidirectional pair is declared concurrent. Each is checked and
+    converted by its kind, `SHARE`, a number in [0, 1] stored as a float,
+    the kind of its config-file key too.
     """
 
     df_threshold: float = 0.05

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, repeat
-from math import floor
+from math import floor, inf
 from operator import sub
 from typing import Mapping, Optional
 
@@ -22,7 +22,8 @@ class Histogram:
 
     `origin` and `bin_width`, in seconds, fix the discretization grid; two
     histograms are comparable only when they share both. A timestamp
-    histogram's origin is POSIX seconds.
+    histogram's origin is POSIX seconds. The bin width must be positive and
+    finite, and each mass non-negative and finite; NaN is neither.
     """
 
     origin: float
@@ -30,10 +31,13 @@ class Histogram:
     masses: Mapping[int, float]
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError(f"bin width must be positive, got {self.bin_width}")
-        if any(m < 0 for m in self.masses.values()):
-            raise ValueError("negative bin mass")
+        # one comparison chain each refuses a NaN, which fails every comparison
+        if not 0 < self.bin_width < inf:
+            raise ValueError(f"bin width must be {'positive' if self.bin_width <= 0 else 'finite'}"
+                             f", got {self.bin_width}")
+        if not all(0 <= m < inf for m in self.masses.values()):
+            raise ValueError("negative bin mass" if any(m < 0 for m in self.masses.values())
+                             else "non-finite bin mass")
 
     @property
     def total_mass(self) -> float:

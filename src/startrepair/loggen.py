@@ -23,17 +23,19 @@ DURATIONS = RANGE._replace(description="a [low, high] pair of integers with 1 <=
 STAGES = Kind("a non-empty list of activities or non-empty lists of activities, "
               "each label non-blank",
               lambda v: isinstance(v, (list, tuple)) and all(map(LABELS.valid, v)),
-              within=lambda v: len(v) > 0 and all(
-                  stage and all(map(str.strip, [stage] if isinstance(stage, str) else stage))
-                  for stage in v))
+              lambda v: tuple((stage.strip(),) if isinstance(stage, str)
+                              else tuple(map(str.strip, stage)) for stage in v),
+              lambda v: v and all(v) and all(map(all, v)))
 # generator spec key -> its kind; README lists the same keys
 SPEC_KEYS = {
     "seed": INTEGER, "trace_count": COUNT, "resource_count": COUNT, "stages": STAGES,
     "duration_range": DURATIONS, "delay_range": RANGE, "arrival_gap_range": RANGE,
     "missing_resource_rate": SHARE, "multitasking": SWITCH, "first_arrival": TIMESTAMP,
 }
-# a spec's `first_arrival` is the datetime that `from_dict` converts its text to
-_DATETIME = Kind("a datetime", lambda v: isinstance(v, datetime))
+# a spec's `first_arrival` is the datetime that `from_dict` converts its text
+# to, and a naive one is taken as UTC, as every reader takes an offset-free stamp
+_DATETIME = Kind("a datetime", lambda v: isinstance(v, datetime),
+                 lambda v: v if v.tzinfo is not None else v.replace(tzinfo=timezone.utc))
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,10 @@ class GenSpec:
     `multitasking` drops the resource-serialization constraint to test
     graceful degradation. A naive `first_arrival` is taken as UTC, as every
     reader takes an offset-free stamp, so that a written log reads back equal.
-    Each field is checked by the kind of its key in `SPEC_KEYS`, type and
-    bound, but `first_arrival`, which must be a datetime.
+    Each field is checked and converted by the kind of its key in
+    `SPEC_KEYS`, as `from_dict` reads it, but `first_arrival`, which must be
+    a datetime: so `stages` is stored as a tuple of tuples, each range as a
+    tuple and the rate as a float, whether given as lists or as tuples.
     """
 
     seed: int
@@ -67,12 +71,6 @@ class GenSpec:
 
     def __post_init__(self):
         check_fields(vars(self), {**SPEC_KEYS, "first_arrival": _DATETIME})
-        object.__setattr__(self, "stages", tuple(
-            (stage.strip(),) if isinstance(stage, str) else tuple(map(str.strip, stage))
-            for stage in self.stages))
-        if self.first_arrival.tzinfo is None:
-            object.__setattr__(self, "first_arrival",
-                               self.first_arrival.replace(tzinfo=timezone.utc))
 
     def concurrency_pairs(self) -> ConcurrencyRelation:
         """The relation implied by the template: pairs sharing a stage."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from collections import defaultdict, deque, namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
@@ -42,19 +43,22 @@ def format_timestamp(ts: datetime) -> str:
 
 
 # the kind of a setting: its description, which names its type and its bound;
-# the test of its type; the conversion of a JSON value; and the test of its
-# bound. A file's key and the config field of its name share one kind:
-# `checked_settings` bounds the file's value once converted, and `check_fields`
-# the field's value as given. A number is an int or a float, never a bool, and
-# a JSON int is read from its digits: 2 as 2.0, 10**400 as inf
+# the test of its type; the conversion of a value of that type; and the test
+# of its bound, on the converted value. A value's one step, `_setting`, runs
+# the three in turn for a file's key in `checked_settings` and for a config
+# field in `check_fields` alike, so a field is stored as a file's value is
+# read. A number is an int or a float, never a bool, and is read from its
+# digits: 2 as 2.0, 10**400 as inf
 Kind = namedtuple("Kind", "description valid convert within",
                   defaults=(lambda v: v, lambda v: True))
 TEXT = Kind("a string", lambda v: isinstance(v, str))
 NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
               lambda v: float(str(v)))
 SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
+# a string is a comma-separated list, as its flag gives it
 LABELS = Kind("a string or a list of strings", lambda v: TEXT.valid(v) or (
-    isinstance(v, (list, tuple)) and all(map(TEXT.valid, v))))
+    isinstance(v, (list, tuple)) and all(map(TEXT.valid, v))),
+    lambda v: v.split(",") if isinstance(v, str) else v)
 INTEGER = Kind("an integer", lambda v: NUMBER.valid(v) and isinstance(v, int))
 SHARE = NUMBER._replace(description="a number in [0, 1]", within=lambda v: 0 <= v <= 1)
 TIMESTAMP = Kind("an ISO 8601 timestamp", TEXT.valid, parse_timestamp)
@@ -63,46 +67,48 @@ _DEEPEST = 100  # the deepest refused value a message quotes
 
 def checked_settings(data, kinds: dict, subject: str) -> dict:
     """The settings of the JSON object `data`, each checked, converted and
-    bounded as its `Kind` in `kinds` says; a null value counts as not given.
-    A fault is a ConfigurationError that begins `bad {subject}: `, and a
-    refused value reads `'<key>' must be <description>, got <JSON>`."""
+    bounded by `_setting` as its `Kind` in `kinds` says; a null value counts
+    as not given. A fault is a ConfigurationError that begins `bad {subject}: `,
+    and a refused value reads `'<key>' must be <description>, got <JSON>`."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"bad {subject}: expected a JSON object")
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigurationError(f"bad {subject}: unknown keys {unknown}")
-    settings = {}
-    for key, value in data.items():
-        if value is None:
-            continue
-        description, valid, convert, within = kinds[key]
-        with suppress(LogFormatError):  # a timestamp's text that is no timestamp
-            if valid(value) and within(converted := convert(value)):
-                settings[key] = converted
-                continue
-        raise ConfigurationError(
-            f"bad {subject}: {key!r} must be {description}, got {_quoted(value)}")
-    return settings
+    return {key: _setting(kinds[key], value, f"bad {subject}: {key!r}", as_json=True)
+            for key, value in data.items() if value is not None}
 
 
 def check_fields(values: dict, kinds: dict) -> None:
-    """Refuse the first value of `values`, taken in the order of `kinds`,
-    that is not of its `Kind` or is out of its bound, as given, with the
-    ConfigurationError `<name> must be <description>, got <repr>`: the one
-    check of a config object's fields, worded as `checked_settings` words a
-    file's fault."""
+    """Check and convert in place, by `_setting`, each value of `values` that
+    `kinds` names, in the order of `kinds`: the one check of a config
+    object's fields, given its `vars`, so that each field is stored as
+    converted. The first value refused raises the ConfigurationError
+    `<name> must be <description>, got <repr>`, worded as `checked_settings`
+    words a file's fault."""
     for name, kind in kinds.items():
-        value = values[name]
-        if not (kind.valid(value) and kind.within(value)):
-            raise ConfigurationError(f"{name} must be {kind.description}, "
-                                     f"got {_quoted(value, as_json=False)}")
+        values[name] = _setting(kind, values[name], name, as_json=False)
+
+
+def _setting(kind: Kind, value, name: str, as_json: bool):
+    """`value` converted by `kind`, when it is of the kind's type, its
+    conversion succeeds and the converted value is within the kind's bound;
+    else the ConfigurationError `<name> must be <description>, got <value>`,
+    quoted by `_quoted`. A conversion fails by raising a ValueError, such as
+    an unparseable timestamp's or an over-long integer's, or a TypeError."""
+    with suppress(ValueError, TypeError):
+        if kind.valid(value) and kind.within(converted := kind.convert(value)):
+            return converted
+    raise ConfigurationError(
+        f"{name} must be {kind.description}, got {_quoted(value, as_json)}")
 
 
 def _quoted(value, as_json: bool = True) -> str:
     """`value` as JSON text when parsed JSON can give it and `as_json` is set,
     else as its repr: a tuple is no JSON array, and an object has no JSON text.
     It is walked a level at a time, and one nested over `_DEEPEST` deep is
-    named by that, since both texts recurse."""
+    named by that, since both texts recurse. One that holds an integer too
+    long for `str` is named by that, since neither text has its digits."""
     level = [value]
     for _ in range(_DEEPEST):
         as_json = as_json and all(map(_from_json, level))
@@ -110,7 +116,11 @@ def _quoted(value, as_json: bool = True) -> str:
             chain(item, item.values()) if isinstance(item, dict) else item
             for item in level if isinstance(item, (dict, list, tuple, set, frozenset))))
         if not level:
-            return json.dumps(value) if as_json else repr(value)
+            try:
+                return json.dumps(value) if as_json else repr(value)
+            except ValueError:  # Python's limit on an integer's digits
+                return (f"{'an integer' if isinstance(value, int) else 'a value with an integer'}"
+                        f" of over {sys.get_int_max_str_digits()} digits")
     return f"a value nested more than {_DEEPEST} deep"
 
 

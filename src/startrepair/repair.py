@@ -10,8 +10,7 @@ from math import floor, inf
 from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import (NUMBER, SWITCH, TEXT, ActivityInstanceLog, ConfigurationError, _columns,
-                    _quoted, check_fields)
+from .model import NUMBER, SWITCH, TEXT, ActivityInstanceLog, Kind, _columns, check_fields
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -24,15 +23,20 @@ STATISTICS = ("median", "mode")  # typical repaired duration for the outlier cap
 STATISTIC = TEXT._replace(description=" or ".join(STATISTICS), within=STATISTICS.__contains__)
 OUTLIER_THRESHOLD = NUMBER._replace(description="a finite number > 1",
                                     within=lambda v: 1 < v < inf)
+# a label set: any iterable of strings, read once, but a bare string, which
+# would split into characters
+LABEL_SET = Kind("a set of labels", lambda v: not isinstance(v, str),
+                 lambda v: frozenset(filter(None, map(str.strip, v))))
 
 
 @dataclass(frozen=True)
 class RepairConfig:
-    """Repair settings. `statistic`, `outlier_threshold` (unless None) and
-    `allow_later_start` are checked by the kinds of their config-file keys,
-    `STATISTIC`, `OUTLIER_THRESHOLD` and `SWITCH`. Each bot or instant label
-    is stripped, as input cells are, and empty ones are dropped, so that every
-    label can match a cell."""
+    """Repair settings, each checked and converted by its kind: `statistic`,
+    `outlier_threshold` (unless None) and `allow_later_start` by those of
+    their config-file keys, `STATISTIC`, `OUTLIER_THRESHOLD` and `SWITCH`, so
+    a threshold is stored as a float, and the two label sets by `LABEL_SET`,
+    so each is stored as a frozenset of labels, stripped as input cells are
+    and without empty ones, so that every label can match a cell."""
 
     statistic: str = "median"  # one of STATISTICS
     outlier_threshold: Optional[float] = None  # > 1; None disables capping
@@ -41,20 +45,11 @@ class RepairConfig:
     allow_later_start: bool = False
 
     def __post_init__(self):
-        capped = {} if self.outlier_threshold is None else {"outlier_threshold": OUTLIER_THRESHOLD}
-        check_fields(vars(self), {"statistic": STATISTIC, **capped, "allow_later_start": SWITCH})
-        for name in ("bot_resources", "instant_activities"):
-            labels = getattr(self, name)
-            # a bare string would split into characters, and None is no label
-            try:
-                members = () if isinstance(labels, str) else frozenset(labels)
-            except TypeError:  # not iterable, or holding an unhashable value
-                members = None
-            if (isinstance(labels, str) or members is None
-                    or not all(isinstance(x, str) for x in members)):
-                raise ConfigurationError(f"{name} must be a set of labels, "
-                                         f"got {_quoted(labels, as_json=False)}")
-            object.__setattr__(self, name, frozenset(filter(None, map(str.strip, members))))
+        check_fields(vars(self), {
+            "statistic": STATISTIC,
+            **({} if self.outlier_threshold is None else {"outlier_threshold": OUTLIER_THRESHOLD}),
+            "allow_later_start": SWITCH,
+            "bot_resources": LABEL_SET, "instant_activities": LABEL_SET})
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -214,6 +215,19 @@ class TestRejectedInputs:
     def test_histogram_rejects_a_negative_mass(self):
         with pytest.raises(ValueError, match="negative bin mass"):
             histogram({0: 1.0, 1: -0.5})
+
+    @pytest.mark.parametrize("width, refused", [
+        (-1.0, "positive"), (-math.inf, "positive"), (math.inf, "finite"), (math.nan, "finite"),
+    ])
+    def test_histogram_needs_a_finite_width(self, width, refused):
+        with pytest.raises(ValueError, match=f"^bin width must be {refused}, got {width}$"):
+            Histogram(origin=0.0, bin_width=width, masses={0: 1.0})
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_histogram_rejects_a_non_finite_mass(self, mass):
+        # a NaN mass would make every EMD against the histogram NaN
+        with pytest.raises(ValueError, match="^non-finite bin mass$"):
+            wasserstein_1d(histogram({0: mass, 1: 1.0}), histogram({0: 1.0}))
 
     def test_cycle_time_histograms_reject_an_empty_log(self, shipping_log):
         empty = ActivityInstanceLog([])

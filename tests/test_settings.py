@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from datetime import timedelta
+import sys
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -334,9 +335,11 @@ def kinds_checked(monkeypatch, module, build) -> dict:
 def test_config_objects_check_the_kinds_of_their_settings(monkeypatch, module, build):
     fields = {field.name for field in dataclasses.fields(build())}
     checked = kinds_checked(monkeypatch, module, build)
-    assert set(checked) == fields - {"bot_resources", "instant_activities"}
+    assert set(checked) == fields
+    # a label set's file value may be a comma-separated string; its field's may not
+    label_sets = dict.fromkeys(("bot_resources", "instant_activities"), repair.LABEL_SET)
     for field, kind in checked.items():
-        assert kind is CONFIG_KEYS[field], field
+        assert kind is label_sets.get(field, CONFIG_KEYS[field]), field
 
 
 def test_spec_checks_the_kinds_of_its_keys(monkeypatch):
@@ -360,3 +363,101 @@ def test_constructor_and_file_refuse_a_value_alike(tmp_path, build, subject, key
     description = f"must be {FILE_KEYS[subject][key].description}, got "
     assert str(built.value) == f"{key} {description}{value!r}"
     assert str(read.value) == f"bad {subject}: {key!r} {description}{json.dumps(value)}"
+
+
+def built_or_refused(build):
+    """What `build()` gives, or None when it raises a ConfigurationError."""
+    try:
+        return build()
+    except ConfigurationError:
+        return None
+
+
+# per setting, values given alike to a file and to a constructor: valid ones,
+# bound edges, 10**400, which a number reads as inf, and lists and tuples; a
+# `first_arrival` is given to a constructor as the datetime its text names. A
+# label set's comma-separated string is left out: a file splits it, as its
+# flag does, and a constructor refuses it, since it would split into characters
+AGREEMENT_VALUES = {
+    "statistic": ["median", "mode", "mean", " median", 1],
+    "outlier_threshold": [1, 1.0000001, 2, 2.5, 10**400, 10**5000, float("inf"), "2", True],
+    "bot_resources": [[], ["R04"], (" R04 ", ""), ["a,b"], [1], [["R04"]]],
+    "instant_activities": [["Pack", " "], ("Pack",), ["", ""], [None]],
+    "allow_later_start": [True, False, 0, "no"],
+    "df_threshold": [0, 0.0, 1, 0.5, -0.0, 1.0000001, -1, 10**400, "0.5", False],
+    "balance_threshold": [0, 1, 0.75, 2, 10**400, [0.5]],
+    "seed": [0, -1, 10**400, 1.0, True, "1"],
+    "trace_count": [1, 2, 0, 10**400, 1.5, False],
+    "resource_count": [1, 0, -1, 2.0],
+    "stages": [["A"], ("A", ("B", "C")), [" A ", [" B", "C "]], [], ["A", []], ["A", [" "]],
+               "A", [["A", 1]]],
+    "duration_range": [[1, 5], (1, 5), [1, 1], [0, 5], [5, 1], [1, 10**400], [1, 5.0],
+                       [1], [1, 2, 3], "15"],
+    "delay_range": [[0, 0], (0, 1800), [-1, 5], [10, 5], [0, True]],
+    "arrival_gap_range": [[0, 10], (60, 1800), [10, 5]],
+    "missing_resource_rate": [0, 1, 0.25, 1.5, -0.1, 10**400, 10**5000, "0"],
+    "multitasking": [True, False, 1],
+    "first_arrival": [
+        ("2021-03-01T08:00:00", datetime(2021, 3, 1, 8)),
+        ("2021-03-01 08:00:00Z", datetime(2021, 3, 1, 8, tzinfo=timezone.utc)),
+        ("2021-03-01T08:00:00+02:00",
+         datetime(2021, 3, 1, 8, tzinfo=timezone(timedelta(hours=2)))),
+        ("nope", "nope"), (5, 5),
+    ],
+}
+FIELD_CLASSES = {field.name: cls for cls in (repair.RepairConfig, OracleThresholds, GenSpec)
+                 for field in dataclasses.fields(cls)}
+REQUIRED = {"seed": 1, "trace_count": 1}
+
+
+def test_agreement_values_cover_every_setting_of_a_config_object():
+    assert set(AGREEMENT_VALUES) == ({key for key in CONFIG_KEYS if key in FIELD_CLASSES}
+                                     | set(SPEC_KEYS))
+
+
+@pytest.mark.parametrize("key, given", [
+    (key, value) for key, values in AGREEMENT_VALUES.items() for value in values],
+    ids=[f"{key}-{n}" for key, values in AGREEMENT_VALUES.items() for n in range(len(values))])
+def test_file_and_constructor_agree_on_every_setting(key, given):
+    # both accept or both refuse a value, and what both accept builds equal,
+    # hashable objects
+    file_value, value = given if key == "first_arrival" else (given, given)
+    cls = FIELD_CLASSES[key]
+    if cls is GenSpec:
+        from_file = built_or_refused(lambda: GenSpec.from_dict({**REQUIRED, key: file_value}))
+        built = built_or_refused(lambda: GenSpec(**{**REQUIRED, key: value}))
+    else:
+        from_file = built_or_refused(lambda: cls(**checked_settings(
+            {key: file_value}, CONFIG_KEYS, "config file")))
+        built = built_or_refused(lambda: cls(**{key: value}))
+    assert (from_file is None) == (built is None), (from_file, built)
+    if built is not None:
+        assert built == from_file
+        assert hash(built) == hash(from_file)
+
+
+@pytest.mark.parametrize("refuse, refused", [
+    (lambda v: repair.RepairConfig(outlier_threshold=v),
+     "outlier_threshold must be a finite number > 1, got an integer"),
+    (lambda v: OracleThresholds(df_threshold=v), "df_threshold must be a number in [0, 1], "
+                                                 "got an integer"),
+    (lambda v: GenSpec(seed=1, trace_count=1, duration_range=(v, 1)),
+     "duration_range must be a [low, high] pair of integers with 1 <= low <= high, "
+     "got a value with an integer"),
+    (lambda v: GenSpec.from_dict({"seed": 1, "trace_count": 2, "missing_resource_rate": v}),
+     "bad generator spec: 'missing_resource_rate' must be a number in [0, 1], got an integer"),
+    (lambda v: checked_settings({"outlier_threshold": v}, CONFIG_KEYS, "config file"),
+     "bad config file: 'outlier_threshold' must be a finite number > 1, got an integer"),
+    (lambda v: checked_settings({"stages": [["A", v]]}, SPEC_KEYS, "generator spec"),
+     "bad generator spec: 'stages' must be a non-empty list of activities or non-empty lists "
+     "of activities, each label non-blank, got a value with an integer"),
+], ids=["RepairConfig", "OracleThresholds", "GenSpec", "spec-file", "config-file",
+        "nested-in-file"])
+def test_over_long_integer_is_refused_by_its_size(refuse, refused):
+    # neither `float(str(v))` nor a quoting of the value can give its digits
+    # past Python's limit, so the one-line error names the setting and the
+    # value by its size, not a bare ValueError
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(refused)} of over {limit} digits$"):
+        refuse(10**5000)
