@@ -32,7 +32,6 @@ from .model import (
     write_activity_instance_log,
 )
 from .repair import (
-    InstanceRepair,
     RepairConfig,
     RepairOutcome,
     repair_start_times,

@@ -15,11 +15,15 @@ _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
 
 # the kinds of the spec's bounded keys; `GenSpec` checks its fields by them
 COUNT = INTEGER._replace(description="an integer >= 1", within=lambda v: v >= 1)
-RANGE = Kind("a [low, high] pair of integers with 0 <= low <= high",
+# a range is in whole seconds, so its high end is at most the most whole
+# seconds a timedelta holds
+_MOST_SECONDS = timedelta.max // timedelta(seconds=1)
+RANGE = Kind(f"a [low, high] pair of integers with 0 <= low <= high <= {_MOST_SECONDS}",
              lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(INTEGER.valid, v)),
-             tuple, lambda v: 0 <= v[0] <= v[1])
-DURATIONS = RANGE._replace(description="a [low, high] pair of integers with 1 <= low <= high",
-                           within=lambda v: 1 <= v[0] <= v[1])
+             tuple, lambda v: 0 <= v[0] <= v[1] <= _MOST_SECONDS)
+DURATIONS = RANGE._replace(
+    description=f"a [low, high] pair of integers with 1 <= low <= high <= {_MOST_SECONDS}",
+    within=lambda v: 1 <= v[0] <= v[1] <= _MOST_SECONDS)
 STAGES = Kind("a non-empty list of activities or non-empty lists of activities, "
               "each label non-blank",
               lambda v: isinstance(v, (list, tuple)) and all(map(LABELS.valid, v)),

@@ -159,8 +159,9 @@ class ActivityInstanceLog:
     `ActivityInstance`, is a view built on first use and cached, so a log read
     from CSV and only repaired, written or evaluated never builds an instance.
     `per_trace_index`, built on first use too, maps each trace to its
-    instances sorted by end, with equal ends in log order. The log caches no
-    other grouping.
+    instances sorted by end, with equal ends in log order. It is not API:
+    only the benchmark's set-up, which counts traces with it, and the tests
+    that pin it read it. The log caches no other grouping.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
@@ -191,7 +192,8 @@ class ActivityInstanceLog:
 
     @cached_property
     def per_trace_index(self) -> dict[str, tuple[ActivityInstance, ...]]:
-        # the benchmark's set-up reads it, to count traces
+        # not API: only the benchmark's set-up, to count traces, and the
+        # tests that pin this index read it
         groups = defaultdict(list)
         for row, key in enumerate(self.trace_ids):
             groups[key].append(row)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import statistics
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
@@ -52,29 +52,21 @@ class RepairConfig:
             "bot_resources": LABEL_SET, "instant_activities": LABEL_SET})
 
 
-@dataclass(frozen=True)
-class InstanceRepair:
-    """Per-instance audit record of the repair decision.
-
-    `earliest_start` is the estimate after the outlier cap. Bot and instant
-    instances have None for `rat` and `ent`, and their end as the estimate.
-    """
-
-    original_start: datetime
-    rat: Optional[datetime]
-    ent: Optional[datetime]
-    earliest_start: Optional[datetime]
-    repaired_start: datetime
-    rule_applied: str
+# one instance's decision, as `RepairOutcome.per_instance` gives it: not API,
+# kept only while the benchmark's traced run reads it
+_Record = namedtuple("_Record", "original_start rat ent earliest_start repaired_start "
+                     "rule_applied")
 
 
 @dataclass(frozen=True)
 class RepairOutcome:
     """The repaired log, with the decision behind each start as columns in
     log order: `rats` and `ents` the anchors, `estimates` the earliest start
-    after the outlier cap, and `rules` the rule applied. The `InstanceRepair`
-    audit records are built from these on first access to `per_instance`, so
-    a caller that never reads them does not pay for them.
+    after the outlier cap, and `rules` the rule applied. A bot or instant
+    row has no anchors and its end as its estimate; a row with no evidence
+    has no estimate. These columns are the one form of the decision:
+    `per_instance` regroups them by row only for the benchmark's traced run,
+    built on first access and cached, and is not API.
     """
 
     log: ActivityInstanceLog
@@ -90,8 +82,8 @@ class RepairOutcome:
         return counts
 
     @cached_property
-    def per_instance(self) -> tuple[InstanceRepair, ...]:
-        return tuple(map(InstanceRepair, self.log.starts, self.rats, self.ents,
+    def per_instance(self) -> tuple[_Record, ...]:
+        return tuple(map(_Record, self.log.starts, self.rats, self.ents,
                          self.estimates, self.repaired_log.starts, self.rules))
 
 

@@ -10,7 +10,7 @@ from operator import attrgetter
 import pytest
 
 from startrepair import (ActivityInstance, ActivityInstanceLog, ConcurrencyRelation,
-                         RepairConfig, repair_start_times)
+                         Histogram, RepairConfig, repair_start_times)
 
 
 def ts(text: str) -> datetime:
@@ -66,13 +66,30 @@ def shipping_log() -> ActivityInstanceLog:
     return ActivityInstanceLog(shipping_instances())
 
 
-def resource_buckets(log: ActivityInstanceLog) -> dict:
-    """Per resource, its instances sorted by end; the sort is stable, so
-    equal ends keep log order."""
+def histogram(masses: dict) -> Histogram:
+    """A histogram of `masses` over unit-width bins from 0."""
+    return Histogram(origin=0.0, bin_width=1.0, masses=masses)
+
+
+def _buckets(log: ActivityInstanceLog, field: str) -> dict:
+    """Per value of the instances' `field`, its instances sorted by end; the
+    sort is stable, so equal ends keep log order. Only ends of one bucket are
+    compared, so aware and naive stamps may lie in different buckets."""
     buckets = defaultdict(list)
-    for instance in sorted(log.instances, key=attrgetter("end")):
-        buckets[instance.resource].append(instance)
-    return {key: tuple(bucket) for key, bucket in buckets.items()}
+    for instance in log.instances:
+        buckets[getattr(instance, field)].append(instance)
+    return {key: tuple(sorted(bucket, key=attrgetter("end")))
+            for key, bucket in buckets.items()}
+
+
+def resource_buckets(log: ActivityInstanceLog) -> dict:
+    """Per resource, its instances sorted by end, equal ends in log order."""
+    return _buckets(log, "resource")
+
+
+def trace_buckets(log: ActivityInstanceLog) -> dict:
+    """Per trace, its instances sorted by end, equal ends in log order."""
+    return _buckets(log, "trace_id")
 
 
 def row_of(log: ActivityInstanceLog, trace: str, activity: str) -> int:

@@ -18,7 +18,6 @@ from startrepair import (
     ActivityInstanceLog,
     ConcurrencyRelation,
     GenSpec,
-    Histogram,
     RepairConfig,
     discover_from_log,
     evaluate_logs,
@@ -31,7 +30,7 @@ from startrepair import (
     write_activity_instance_log,
 )
 
-from .conftest import resource_buckets, row_of, shipping_instances, ts
+from .conftest import histogram, resource_buckets, row_of, shipping_instances, ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
 from .test_repair import brute_force_ent, brute_force_rat
 
@@ -96,8 +95,8 @@ def test_criterion_3_repair_invariants_property_suite():
         _, corrupted = generate(spec)
         relation = spec.concurrency_pairs()
         outcome = repair_start_times(corrupted, relation)
-        for record, before, after in zip(
-            outcome.per_instance, corrupted.instances,
+        for rule, before, after in zip(
+            outcome.rules, corrupted.instances,
             outcome.repaired_log.instances,
         ):
             ok = (
@@ -105,7 +104,7 @@ def test_criterion_3_repair_invariants_property_suite():
                 and after.start <= before.start
                 and (after.trace_id, after.activity, after.end, after.resource)
                 == (before.trace_id, before.activity, before.end, before.resource)
-                and (record.rule_applied != "no_evidence"
+                and (rule != "no_evidence"
                      or after.start == before.start)
             )
             if not ok:
@@ -129,15 +128,15 @@ def test_criterion_4_ground_truth_recovery():
             id(bucket[0]) for bucket in resource_buckets(corrupted).values()
         }
         first_stage = set(spec.stages[0])
-        for true_inst, record, corrupt_inst, repaired in zip(
-            truth.instances, outcome.per_instance, corrupted.instances,
+        for true_inst, rat, ent, corrupt_inst, repaired in zip(
+            truth.instances, outcome.rats, outcome.ents, corrupted.instances,
             outcome.repaired_log.instances,
         ):
             if corrupt_inst.activity in first_stage:
                 continue  # first in trace: no enablement anchor
             if id(corrupt_inst) in resource_firsts:
                 continue  # first for resource: no availability anchor
-            assert record.rat is not None and record.ent is not None
+            assert rat is not None and ent is not None
             if repaired.start == true_inst.start:
                 recovered += 1
             else:
@@ -173,20 +172,16 @@ def test_criterion_5_outlier_cap():
                 for activity, values in durations.items()
             }
             outcome = repair_start_times(corrupted, relation, config)
-            for record, inst in zip(outcome.per_instance, corrupted.instances):
+            for estimate, inst in zip(outcome.estimates, corrupted.instances):
                 bound = typical.get(inst.activity)
-                if record.earliest_start is None or bound is None:
+                if estimate is None or bound is None:
                     continue
-                assert (inst.end - record.earliest_start
+                assert (inst.end - estimate
                         <= config.outlier_threshold * bound + slack)
                 checked += 1
     assert checked > 0
     report(f"5 outlier cap honored for eta in {{2, 5}} x {{median, mode}} "
            f"({checked} capped-config checks, 0 violations)")
-
-
-def unit_histogram(masses: dict) -> Histogram:
-    return Histogram(origin=0.0, bin_width=1.0, masses=masses)
 
 
 def test_criterion_6_emd_oracle_equivalence():
@@ -200,7 +195,7 @@ def test_criterion_6_emd_oracle_equivalence():
     for a, b in itertools.product(small, repeat=2):
         expected = flow_enumeration_cost(a, b)
         assert monotone_matching_cost(a, b) == pytest.approx(expected, abs=1e-12)
-        assert wasserstein_1d(unit_histogram(a), unit_histogram(b)) == (
+        assert wasserstein_1d(histogram(a), histogram(b)) == (
             pytest.approx(expected, abs=1e-9)
         )
 
@@ -237,14 +232,14 @@ def test_criterion_6_emd_oracle_equivalence():
         if sum(v) > 0
     ]
     for a, b in itertools.product(tri, repeat=2):
-        assert wasserstein_1d(unit_histogram(a), unit_histogram(b)) == (
+        assert wasserstein_1d(histogram(a), histogram(b)) == (
             pytest.approx(monotone_matching_cost(a, b), abs=1e-9)
         )
     rng = random.Random(0xC6)
     six = [dict(enumerate(v)) for v in vectors.tolist() if sum(v) > 0]
     for _ in range(5000):
         a, b = rng.choice(six), rng.choice(six)
-        assert wasserstein_1d(unit_histogram(a), unit_histogram(b)) == (
+        assert wasserstein_1d(histogram(a), histogram(b)) == (
             pytest.approx(monotone_matching_cost(a, b), abs=1e-9)
         )
     report("6 EMD oracle equivalence: flow enumeration tier, "

@@ -574,7 +574,7 @@ class TestRejectedSettings:
          None, "mapped columns missing from header: ['nope']"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "delay_range": [10, 5]}',
          "bad generator spec: 'delay_range' must be a [low, high] pair of integers with "
-         "0 <= low <= high, got [10, 5]"),
+         "0 <= low <= high <= 86399999999999, got [10, 5]"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "missing_resource_rate": 1.5}',
          "bad generator spec: 'missing_resource_rate' must be a number in [0, 1], got 1.5"),
         (GENERATE, '{"seed": 1, "trace_count": 2, "stages": [""]}',

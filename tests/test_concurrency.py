@@ -23,7 +23,7 @@ from startrepair import (
 )
 from startrepair.concurrency import write_concurrency
 
-from .conftest import ts
+from .conftest import trace_buckets, ts
 from .strategies import instance_logs
 
 
@@ -41,7 +41,7 @@ def pairwise_directly_follows(log) -> Counter:
     """O(k^2) reference: adjacency in (start, end, label) order plus every
     overlapping pair of a trace, counted in both directions."""
     counts = Counter()
-    for trace_instances in log.per_trace_index.values():
+    for trace_instances in trace_buckets(log).values():
         ordered = sorted(trace_instances,
                          key=lambda i: (i.start, i.end, i.activity))
         for previous, current in zip(ordered, ordered[1:]):

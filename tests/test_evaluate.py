@@ -20,13 +20,9 @@ from startrepair import (
 )
 from startrepair.evaluate import HOUR, EmdReport, dump_histograms, trace_cycle_times
 
-from .conftest import ts
+from .conftest import histogram, ts
 from .emd_oracles import flow_enumeration_cost, monotone_matching_cost
 from .strategies import instance_logs
-
-
-def histogram(masses: dict) -> Histogram:
-    return Histogram(origin=0.0, bin_width=1.0, masses=masses)
 
 
 def shifted(log: ActivityInstanceLog, delta: timedelta) -> ActivityInstanceLog:

@@ -173,11 +173,11 @@ class TestGenerate:
             corrupted, spec.concurrency_pairs(), RepairConfig()
         )
         recoverable = 0
-        for true_inst, record, repaired in zip(
-            truth.instances, outcome.per_instance, outcome.repaired_log.instances
+        for true_inst, rat, ent, repaired in zip(
+            truth.instances, outcome.rats, outcome.ents, outcome.repaired_log.instances
         ):
             # recoverable = neither first in its trace nor first for its resource
-            if record.rat is None or record.ent is None:
+            if rat is None or ent is None:
                 continue
             recoverable += 1
             assert repaired.start == true_inst.start
@@ -203,6 +203,8 @@ class TestSpecKeys:
          "'first_arrival' must be an ISO 8601 timestamp, got \"soon\""),
         ({"trace_count": 2}, "missing keys ['seed']\n"),
         ({"seed": None, "trace_count": 2}, "missing keys ['seed']\n"),
+        ({"seed": 1, "trace_count": 2, "duration_range": [1, 10**20]},
+         "'duration_range' must be"),
     ])
     def test_bad_spec_is_a_one_line_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"

@@ -239,10 +239,9 @@ class TestRepairStartTimes:
         log = ActivityInstanceLog(instances)
         config = RepairConfig(statistic="median", outlier_threshold=2.0)
         outcome = repair_start_times(log, EMPTY, config)
-        capped = outcome.per_instance[-1]
         # repaired durations run from the prior end: eight 2h values and the
         # 5h01m outlier, median 2h; the cap bounds the outlier at 4h
-        assert capped.earliest_start == instances[-1].end - timedelta(hours=4)
+        assert outcome.estimates[-1] == instances[-1].end - timedelta(hours=4)
 
     def test_fixpoint_log_unchanged(self):
         # sequential one-resource chain where each start equals the previous end
@@ -266,15 +265,16 @@ class TestRepairStartTimes:
         ])
         outcome = repair_start_times(log, EMPTY)
         assert outcome.repaired_log == log
-        assert outcome.per_instance[0].rule_applied == RULE_NO_EVIDENCE
+        assert outcome.rules[0] == RULE_NO_EVIDENCE
 
     def test_bot_resource_start_set_to_end(self, shipping_log):
         config = RepairConfig(bot_resources={"Zoidberg"})
         outcome = repair_start_times(shipping_log, EMPTY, config)
-        for record, instance in zip(outcome.per_instance, shipping_log.instances):
+        for rule, repaired, instance in zip(outcome.rules, outcome.repaired_log.starts,
+                                            shipping_log.instances):
             if instance.resource == "Zoidberg":
-                assert record.rule_applied == RULE_BOT_OR_INSTANT
-                assert record.repaired_start == instance.end
+                assert rule == RULE_BOT_OR_INSTANT
+                assert repaired == instance.end
 
     def test_later_estimate_clamped_by_default(self):
         # resource finishes "a" after "b" was recorded to start
@@ -285,10 +285,9 @@ class TestRepairStartTimes:
                              ts("2021-03-07 14:00:00"), "r"),
         ])
         outcome = repair_start_times(log, EMPTY)
-        record = outcome.per_instance[1]
-        assert record.earliest_start == ts("2021-03-07 13:00:00")
-        assert record.repaired_start == ts("2021-03-07 12:30:00")
-        assert record.rule_applied == RULE_CLAMPED
+        assert outcome.estimates[1] == ts("2021-03-07 13:00:00")
+        assert outcome.repaired_log.starts[1] == ts("2021-03-07 12:30:00")
+        assert outcome.rules[1] == RULE_CLAMPED
 
     def test_estimate_equal_to_recorded_start_is_estimated(self):
         # "b" is recorded to start exactly when the resource finished "a"
@@ -313,7 +312,7 @@ class TestRepairStartTimes:
         ])
         outcome = repair_start_times(log, EMPTY,
                                      RepairConfig(allow_later_start=True))
-        assert outcome.per_instance[1].repaired_start == ts("2021-03-07 13:00:00")
+        assert outcome.repaired_log.starts[1] == ts("2021-03-07 13:00:00")
 
     def test_allow_later_start_must_be_a_bool(self):
         # b's enablement is a's end, 10:00, an hour after b's recorded start
@@ -437,10 +436,10 @@ class TestRepairProperties:
     def test_repair_invariants(self, log):
         relation = discover_from_log(log)
         outcome = repair_start_times(log, relation)
-        assert len(outcome.per_instance) == len(log)
-        for record, before, after in zip(
-            outcome.per_instance, log.instances, outcome.repaired_log.instances
-        ):
+        for column in (outcome.rats, outcome.ents, outcome.estimates, outcome.rules,
+                       outcome.repaired_log.starts):
+            assert len(column) == len(log)
+        for before, after in zip(log.instances, outcome.repaired_log.instances):
             assert after.start <= after.end
             assert after.start <= before.start  # default clamp
             assert (after.trace_id, after.activity, after.end, after.resource) == (
@@ -457,13 +456,10 @@ class TestRepairProperties:
     def test_dominance_without_threshold(self, log):
         relation = discover_from_log(log)
         outcome = repair_start_times(log, relation)
-        for record, instance in zip(outcome.per_instance, log.instances):
-            if (
-                record.rat is not None
-                and record.ent is not None
-                and max(record.rat, record.ent) <= instance.start
-            ):
-                assert record.repaired_start == max(record.rat, record.ent)
+        for rat, ent, instance, repaired in zip(outcome.rats, outcome.ents, log.instances,
+                                                outcome.repaired_log.starts):
+            if rat is not None and ent is not None and max(rat, ent) <= instance.start:
+                assert repaired == max(rat, ent)
 
     def test_audit_records_built_only_on_request(self, shipping_log):
         outcome = repair_start_times(shipping_log, discover_from_log(shipping_log))
@@ -483,10 +479,11 @@ class TestRepairProperties:
         relation = ConcurrencyRelation(pairs)
         config = RepairConfig(bot_resources=bots, instant_activities=instants)
         outcome = repair_start_times(log, relation, config)
-        for record, instance in zip(outcome.per_instance, log.instances):
-            if record.rule_applied != RULE_BOT_OR_INSTANT:
-                assert record.rat == brute_force_rat(instance, log)
-                assert record.ent == brute_force_ent(instance, log, relation)
+        for rat, ent, rule, instance in zip(outcome.rats, outcome.ents, outcome.rules,
+                                            log.instances):
+            if rule != RULE_BOT_OR_INSTANT:
+                assert rat == brute_force_rat(instance, log)
+                assert ent == brute_force_ent(instance, log, relation)
 
     @given(instance_logs(max_size=12))
     def test_rule_counts_sum_to_instances(self, log):
@@ -503,10 +500,10 @@ class TestRepairProperties:
         config = RepairConfig(statistic=statistic, outlier_threshold=threshold,
                               bot_resources=bots, allow_later_start=allow_later_start)
         outcome = repair_start_times(log, discover_from_log(log), config)
-        for record, after in zip(outcome.per_instance, outcome.repaired_log.instances):
+        for estimate, after in zip(outcome.estimates, outcome.repaired_log.instances):
             assert after.start <= after.end
-            if record.earliest_start is not None:
-                assert record.earliest_start <= after.end
+            if estimate is not None:
+                assert estimate <= after.end
 
 
 def tie_anchor(log, row, keys, relation=EMPTY):
@@ -541,10 +538,10 @@ class TestTieOrder:
             for i in log.instances)
         relation = ConcurrencyRelation(pairs)
         outcome = repair_start_times(log, relation)
-        for row, (instance, record) in enumerate(zip(log.instances, outcome.per_instance)):
+        for row, instance in enumerate(log.instances):
             rat = None if instance.resource is None else tie_anchor(log, row, log.resources)
             ent = tie_anchor(log, row, log.trace_ids, relation)
-            assert record.rat is rat and record.ent is ent
+            assert outcome.rats[row] is rat and outcome.ents[row] is ent
         for index, keys in ((resource_buckets(log), log.resources),
                             (log.per_trace_index, log.trace_ids)):
             assert index.keys() == set(keys)
@@ -620,16 +617,14 @@ class TestBotDurationsInTheCap:
         assert outcome.rule_counts()[RULE_CLAMPED] == 3
         assert outcome.rule_counts()[RULE_BOT_OR_INSTANT] == 4
         for i in humans:
-            record = outcome.per_instance[i]
-            assert record.rule_applied == RULE_CLAMPED
-            assert record.earliest_start == log.ends[i]  # capped at a zero duration
-            assert log.ends[i] - record.repaired_start == timedelta(minutes=30)
+            assert outcome.rules[i] == RULE_CLAMPED
+            assert outcome.estimates[i] == log.ends[i]  # capped at a zero duration
+            assert log.ends[i] - outcome.repaired_log.starts[i] == timedelta(minutes=30)
 
         without_bot = repair_start_times(log, EMPTY, replace(config, bot_resources=frozenset()))
         for i in humans:
-            record = without_bot.per_instance[i]
-            assert record.rule_applied == RULE_ESTIMATED
-            assert log.ends[i] - record.repaired_start == timedelta(hours=1)
+            assert without_bot.rules[i] == RULE_ESTIMATED
+            assert log.ends[i] - without_bot.repaired_log.starts[i] == timedelta(hours=1)
 
 
 class TestDecisionColumns:

@@ -16,7 +16,7 @@ from startrepair.concurrency import OracleThresholds
 from startrepair.loggen import SPEC_KEYS
 from startrepair.model import Kind, checked_settings
 
-from .conftest import SHIPPING_ROWS, shipping_csv
+from .conftest import SHIPPING_ROWS, event_csv, shipping_csv
 from .test_cli import assert_one_line_error, run
 
 # column setting -> the default column name it renames
@@ -40,14 +40,6 @@ def flag(key: str, value) -> list:
     return [name] if value is True else [name, value]
 
 
-def shipping_events_csv() -> str:
-    lines = ["case_id,activity,timestamp,lifecycle,resource"]
-    for trace, activity, start, end, resource in SHIPPING_ROWS:
-        lines.append(f"{trace},{activity},{start},start,{resource}")
-        lines.append(f"{trace},{activity},{end},end,{resource}")
-    return "\n".join(lines) + "\n"
-
-
 def test_every_setting_has_a_sample_or_is_a_path():
     paths = {"input", "output", "report", "concurrency_file"}
     assert set(SAMPLES) | paths == set(CONFIG_KEYS)
@@ -63,7 +55,7 @@ def test_every_config_field_is_a_setting_of_its_name(cls):
 def test_flag_and_config_file_value_echo_alike(key, tmp_path):
     text = shipping_csv()
     if key in ("timestamp_column", "lifecycle_column"):
-        text = shipping_events_csv()
+        text = event_csv(SHIPPING_ROWS)
     header, rows = text.split("\n", 1)
     if key in COLUMN_DEFAULTS:
         header = ",".join(SAMPLES[key] if name == COLUMN_DEFAULTS[key] else name
@@ -442,8 +434,8 @@ def test_file_and_constructor_agree_on_every_setting(key, given):
     (lambda v: OracleThresholds(df_threshold=v), "df_threshold must be a number in [0, 1], "
                                                  "got an integer"),
     (lambda v: GenSpec(seed=1, trace_count=1, duration_range=(v, 1)),
-     "duration_range must be a [low, high] pair of integers with 1 <= low <= high, "
-     "got a value with an integer"),
+     "duration_range must be a [low, high] pair of integers with 1 <= low <= high <= "
+     "86399999999999, got a value with an integer"),
     (lambda v: GenSpec.from_dict({"seed": 1, "trace_count": 2, "missing_resource_rate": v}),
      "bad generator spec: 'missing_resource_rate' must be a number in [0, 1], got an integer"),
     (lambda v: checked_settings({"outlier_threshold": v}, CONFIG_KEYS, "config file"),

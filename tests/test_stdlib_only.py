@@ -31,8 +31,8 @@ def test_runtime_imports_only_the_standard_library():
 
 PUBLIC_NAMES = {
     "ActivityInstance", "ActivityInstanceLog", "ColumnMapping", "ConcurrencyRelation",
-    "ConfigurationError", "EmdReport", "GenSpec", "Histogram", "InstanceRepair",
-    "LogFormatError", "OracleThresholds", "PairingSummary", "RepairConfig", "RepairOutcome",
+    "ConfigurationError", "EmdReport", "GenSpec", "Histogram", "LogFormatError",
+    "OracleThresholds", "PairingSummary", "RepairConfig", "RepairOutcome",
     "count_directly_follows", "cycle_time_histograms", "discover_concurrency",
     "discover_from_log", "evaluate_logs", "generate", "load_concurrency", "parse_event_log",
     "read_instance_log", "repair_start_times", "timestamp_histogram",
