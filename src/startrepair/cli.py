@@ -7,7 +7,7 @@ import dataclasses
 import gc
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from typing import Optional
 
 from . import concurrency as conc
@@ -21,7 +21,6 @@ from .model import (
     SHARE,
     SWITCH,
     TEXT,
-    ActivityInstanceLog,
     ColumnMapping,
     ConfigurationError,
     LogFormatError,
@@ -50,23 +49,31 @@ CONFIG_KEYS = {
     "balance_threshold": SHARE, "df_threshold": SHARE, "concurrency_file": TEXT,
 }
 # the argparse keywords of a --key-name flag, by its setting's type test, or
-# by the setting for the one whose flag says more than its type
-_FLAGS = {NUMBER.valid: {"type": float}, SWITCH.valid: {"action": "store_const", "const": True},
-          LABELS.valid: {"type": LABELS.convert, "help": "comma-separated labels"},
+# by the setting for the one whose flag says more than its type. None converts
+# a flag's text: `_resolve` and the config objects read it by its kind
+_FLAGS = {SWITCH.valid: {"action": "store_const", "const": True},
+          LABELS.valid: {"help": "comma-separated labels"},
           "statistic": {"help": STATISTIC.description}}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The subcommand's given settings: its config-file values, checked and
     converted as `CONFIG_KEYS` says, merged with its flags, which win when
-    given and which argparse converts by the same kinds; the config objects
-    check and convert the values again, by the kinds of their fields."""
+    given. A flag's value is its text, but for a number flag, whose text
+    `NUMBER.convert` reads by `float`'s grammar when it can, since a number's
+    kind takes no string. The config objects then check and convert every
+    value by the kinds of their fields: a label flag's text is split at
+    commas, as a file's string is, and a number flag's text that is no
+    number is refused in one line, as a file's string is."""
     resolved = ({} if args.config is None else
                 checked_settings(_json_file(args.config), args.setting_kinds, "config file"))
-    for key in args.setting_kinds:
+    for key, kind in args.setting_kinds.items():
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+            if kind.convert is NUMBER.convert:
+                with suppress(ValueError):
+                    resolved[key] = NUMBER.convert(value)
     return resolved
 
 
@@ -111,6 +118,13 @@ def _json_file(path: str):
             raise LogFormatError(str(exc)) from None
 
 
+def _output_file(path: Optional[str]):
+    """`path` opened for a writer, as every file the CLI writes is; standard
+    output, left open, for None."""
+    return nullcontext(sys.stdout) if path is None else open(
+        path, "w", encoding="utf-8", newline="")
+
+
 def _read_log(path: str, mapping: ColumnMapping):
     with _input_file(path) as handle:
         if mapping.is_event_per_row:
@@ -118,33 +132,38 @@ def _read_log(path: str, mapping: ColumnMapping):
         return read_instance_log(handle, mapping), None
 
 
-def _relation_for(log: ActivityInstanceLog, resolved: dict,
-                  thresholds: conc.OracleThresholds) -> conc.ConcurrencyRelation:
-    if resolved.get("concurrency_file"):
-        with _input_file(resolved["concurrency_file"]) as handle:
-            return conc.load_concurrency(handle)
-    return conc.discover_from_log(log, thresholds)
-
-
-def _emit_report(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=sorted)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _run_repair(args: argparse.Namespace) -> int:
+def _read_and_discover(args: argparse.Namespace, *needed: str):
+    """The step `repair` and `concurrency` share: the given settings, which
+    must hold each of `needed`; the `OracleThresholds` and `RepairConfig`
+    built from them, the latter the default for `concurrency`, which takes
+    no repair setting; the log at `input` with its pairing summary, None for
+    instance rows; and the log's concurrency relation, read from
+    `concurrency_file` when given, else discovered. Every config object is
+    built before any file is read, so a bad setting is reported first."""
     resolved = _resolve(args)
-    if "input" not in resolved or "output" not in resolved:
-        raise ConfigurationError("repair needs --input and --output")
+    if not all(key in resolved for key in needed):
+        raise ConfigurationError(f"{args.command} needs --{' and --'.join(needed)}")
     thresholds = _settings(conc.OracleThresholds, resolved)
     config = _settings(RepairConfig, resolved)
     log, summary = _read_log(resolved["input"], _mapping_from(resolved))
-    relation = _relation_for(log, resolved, thresholds)
+    if resolved.get("concurrency_file"):
+        with _input_file(resolved["concurrency_file"]) as handle:
+            relation = conc.load_concurrency(handle)
+    else:
+        relation = conc.discover_from_log(log, thresholds)
+    return resolved, thresholds, config, log, summary, relation
+
+
+def _emit_report(report: dict, path: Optional[str]) -> None:
+    with _output_file(path or None) as handle:
+        handle.write(json.dumps(report, indent=2, sort_keys=True, default=sorted) + "\n")
+
+
+def _run_repair(args: argparse.Namespace) -> int:
+    resolved, thresholds, config, log, summary, relation = _read_and_discover(
+        args, "input", "output")
     outcome = repair_start_times(log, relation, config)
-    with open(resolved["output"], "w", encoding="utf-8", newline="") as handle:
+    with _output_file(resolved["output"]) as handle:
         write_activity_instance_log(outcome.repaired_log, handle)
     report = {
         "instances": len(log),
@@ -183,23 +202,15 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 def _run_generate(args: argparse.Namespace) -> int:
     truth, corrupted = loggen.generate(loggen.GenSpec.from_dict(_json_file(args.spec)))
     for path, log in ((args.out_truth, truth), (args.out_corrupted, corrupted)):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with _output_file(path) as handle:
             write_activity_instance_log(log, handle)
     return 0
 
 
 def _run_concurrency(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    if "input" not in resolved:
-        raise ConfigurationError("concurrency needs --input")
-    thresholds = _settings(conc.OracleThresholds, resolved)
-    log, _ = _read_log(resolved["input"], _mapping_from(resolved))
-    relation = _relation_for(log, resolved, thresholds)
-    if resolved.get("output"):
-        with open(resolved["output"], "w", encoding="utf-8", newline="") as handle:
-            conc.write_concurrency(relation, handle)
-    else:
-        conc.write_concurrency(relation, sys.stdout)
+    resolved, *_, relation = _read_and_discover(args, "input")
+    with _output_file(resolved.get("output") or None) as handle:
+        conc.write_concurrency(relation, handle)
     return 0
 
 

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import MISSING, dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import MAXYEAR, datetime, timedelta, timezone
 from itertools import combinations
 from typing import Optional
 
 from .concurrency import ConcurrencyRelation
-from .model import (INTEGER, LABELS, SHARE, SWITCH, TIMESTAMP, ActivityInstanceLog,
+from .model import (INTEGER, SHARE, SWITCH, TIMESTAMP, ActivityInstanceLog,
                     ConfigurationError, Kind, check_fields, checked_settings)
 
 _EPOCH = datetime(2021, 3, 1, 8, 0, 0, tzinfo=timezone.utc)
@@ -24,9 +24,13 @@ RANGE = Kind(f"a [low, high] pair of integers with 0 <= low <= high <= {_MOST_SE
 DURATIONS = RANGE._replace(
     description=f"a [low, high] pair of integers with 1 <= low <= high <= {_MOST_SECONDS}",
     within=lambda v: 1 <= v[0] <= v[1] <= _MOST_SECONDS)
+# a stage is a string or a list or tuple of strings, never a set: the order
+# of the stages, and of a stage's activities, decides the generated log. A
+# label that is no string is refused by the conversion, which strips it
 STAGES = Kind("a non-empty list of activities or non-empty lists of activities, "
               "each label non-blank",
-              lambda v: isinstance(v, (list, tuple)) and all(map(LABELS.valid, v)),
+              lambda v: isinstance(v, (list, tuple)) and all(
+                  isinstance(stage, (str, list, tuple)) for stage in v),
               lambda v: tuple((stage.strip(),) if isinstance(stage, str)
                               else tuple(map(str.strip, stage)) for stage in v),
               lambda v: v and all(v) and all(map(all, v)))
@@ -36,10 +40,6 @@ SPEC_KEYS = {
     "duration_range": DURATIONS, "delay_range": RANGE, "arrival_gap_range": RANGE,
     "missing_resource_rate": SHARE, "multitasking": SWITCH, "first_arrival": TIMESTAMP,
 }
-# a spec's `first_arrival` is the datetime that `from_dict` converts its text
-# to, and a naive one is taken as UTC, as every reader takes an offset-free stamp
-_DATETIME = Kind("a datetime", lambda v: isinstance(v, datetime),
-                 lambda v: v if v.tzinfo is not None else v.replace(tzinfo=timezone.utc))
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,13 @@ class GenSpec:
     arrival); the corrupted twin delays each recorded start by a sampled
     amount of non-recorded processing time, never past the end.
     `multitasking` drops the resource-serialization constraint to test
-    graceful degradation. A naive `first_arrival` is taken as UTC, as every
-    reader takes an offset-free stamp, so that a written log reads back equal.
-    Each field is checked and converted by the kind of its key in
-    `SPEC_KEYS`, as `from_dict` reads it, but `first_arrival`, which must be
-    a datetime: so `stages` is stored as a tuple of tuples, each range as a
-    tuple and the rate as a float, whether given as lists or as tuples.
+    graceful degradation. `first_arrival` is ISO 8601 text or a datetime,
+    stored as a datetime; a naive one is taken as UTC, as every reader takes
+    an offset-free stamp, so that a written log reads back equal. Each field
+    is checked and converted by the kind of its key in `SPEC_KEYS`, as
+    `from_dict` reads it: so `stages` is stored as a tuple of tuples, each
+    range as a tuple and the rate as a float, whether given as lists or as
+    tuples.
     """
 
     seed: int
@@ -74,7 +75,7 @@ class GenSpec:
     first_arrival: datetime = _EPOCH
 
     def __post_init__(self):
-        check_fields(vars(self), {**SPEC_KEYS, "first_arrival": _DATETIME})
+        check_fields(vars(self), SPEC_KEYS)
 
     def concurrency_pairs(self) -> ConcurrencyRelation:
         """The relation implied by the template: pairs sharing a stage."""
@@ -101,7 +102,9 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
     """Return (ground_truth_log, corrupted_log) for the spec.
 
     Both logs are identical except for start times: the corrupted log delays
-    each start by a sampled amount, capped at the instance's end.
+    each start by a sampled amount, capped at the instance's end. A spec
+    whose log would run past the calendar raises a ConfigurationError that
+    names `first_arrival` and the ranges.
     """
     rng = random.Random(spec.seed)
     resources = [f"R{i:02d}" for i in range(spec.resource_count)]
@@ -109,36 +112,41 @@ def generate(spec: GenSpec) -> tuple[ActivityInstanceLog, ActivityInstanceLog]:
     trace_ids, activities, ends, recorded_resources = [], [], [], []
     truth_starts, corrupted_starts = [], []
 
-    arrival = spec.first_arrival
-    for trace_number in range(spec.trace_count):
-        if trace_number > 0:
-            arrival = arrival + timedelta(seconds=rng.randint(*spec.arrival_gap_range))
-        trace_id = f"T{trace_number:04d}"
-        enablement = arrival
-        for stage in spec.stages:
-            stage_ends = []
-            for activity in stage:
-                resource = min(resources, key=lambda r: (resource_free[r], r))
-                start = (enablement if spec.multitasking
-                         else max(enablement, resource_free[resource]))
-                duration = rng.randint(*spec.duration_range)
-                end = start + timedelta(seconds=duration)
-                resource_free[resource] = end
-                recorded_resource: Optional[str] = resource
-                if (
-                    spec.missing_resource_rate > 0.0
-                    and rng.random() < spec.missing_resource_rate
-                ):
-                    recorded_resource = None
-                delay = timedelta(seconds=rng.randint(*spec.delay_range))
-                trace_ids.append(trace_id)
-                activities.append(activity)
-                truth_starts.append(start)
-                corrupted_starts.append(min(start + delay, end))
-                ends.append(end)
-                recorded_resources.append(recorded_resource)
-                stage_ends.append(end)
-            enablement = max(stage_ends)
+    try:
+        arrival = spec.first_arrival
+        for trace_number in range(spec.trace_count):
+            if trace_number > 0:
+                arrival = arrival + timedelta(seconds=rng.randint(*spec.arrival_gap_range))
+            trace_id = f"T{trace_number:04d}"
+            enablement = arrival
+            for stage in spec.stages:
+                stage_ends = []
+                for activity in stage:
+                    resource = min(resources, key=lambda r: (resource_free[r], r))
+                    start = (enablement if spec.multitasking
+                             else max(enablement, resource_free[resource]))
+                    duration = rng.randint(*spec.duration_range)
+                    end = start + timedelta(seconds=duration)
+                    resource_free[resource] = end
+                    recorded_resource: Optional[str] = resource
+                    if (
+                        spec.missing_resource_rate > 0.0
+                        and rng.random() < spec.missing_resource_rate
+                    ):
+                        recorded_resource = None
+                    delay = timedelta(seconds=rng.randint(*spec.delay_range))
+                    trace_ids.append(trace_id)
+                    activities.append(activity)
+                    truth_starts.append(start)
+                    corrupted_starts.append(min(start + delay, end))
+                    ends.append(end)
+                    recorded_resources.append(recorded_resource)
+                    stage_ends.append(end)
+                enablement = max(stage_ends)
+    except OverflowError:  # a time past `datetime.max`
+        raise ConfigurationError(f"bad generator spec: first_arrival {spec.first_arrival} plus "
+                                 "the times drawn from arrival_gap_range, duration_range and "
+                                 f"delay_range run past the year {MAXYEAR}") from None
     # the two logs differ only in their starts and share the other columns
     trace_ids, activities, ends, recorded_resources = map(
         tuple, (trace_ids, activities, ends, recorded_resources))

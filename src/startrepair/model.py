@@ -55,13 +55,19 @@ TEXT = Kind("a string", lambda v: isinstance(v, str))
 NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
               lambda v: float(str(v)))
 SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
-# a string is a comma-separated list, as its flag gives it
-LABELS = Kind("a string or a list of strings", lambda v: TEXT.valid(v) or (
-    isinstance(v, (list, tuple)) and all(map(TEXT.valid, v))),
-    lambda v: v.split(",") if isinstance(v, str) else v)
+# a set of labels: a string is a comma-separated list, as its flag gives it,
+# and any other collection of strings but a dict is read once; each label is
+# stripped, as input cells are, and an empty one dropped, so that every label
+# can match a cell
+LABELS = Kind("a string or a list of strings", lambda v: not isinstance(v, dict),
+              lambda v: frozenset(filter(None, map(str.strip, v.split(",") if TEXT.valid(v)
+                                                   else v))))
 INTEGER = Kind("an integer", lambda v: NUMBER.valid(v) and isinstance(v, int))
 SHARE = NUMBER._replace(description="a number in [0, 1]", within=lambda v: 0 <= v <= 1)
-TIMESTAMP = Kind("an ISO 8601 timestamp", TEXT.valid, parse_timestamp)
+# ISO 8601 text, read as a reader reads a cell, or a datetime; a naive value is UTC
+TIMESTAMP = Kind("an ISO 8601 timestamp", lambda v: isinstance(v, (str, datetime)),
+                 lambda v: parse_timestamp(v) if TEXT.valid(v)
+                 else v if v.tzinfo is not None else v.replace(tzinfo=timezone.utc))
 _DEEPEST = 100  # the deepest refused value a message quotes
 
 

@@ -10,7 +10,7 @@ from math import floor, inf
 from typing import Optional, Sequence
 
 from .concurrency import ConcurrencyRelation
-from .model import NUMBER, SWITCH, TEXT, ActivityInstanceLog, Kind, _columns, check_fields
+from .model import LABELS, NUMBER, SWITCH, TEXT, ActivityInstanceLog, _columns, check_fields
 
 RULE_ESTIMATED = "estimated"
 RULE_CLAMPED = "clamped_to_recorded"
@@ -23,20 +23,17 @@ STATISTICS = ("median", "mode")  # typical repaired duration for the outlier cap
 STATISTIC = TEXT._replace(description=" or ".join(STATISTICS), within=STATISTICS.__contains__)
 OUTLIER_THRESHOLD = NUMBER._replace(description="a finite number > 1",
                                     within=lambda v: 1 < v < inf)
-# a label set: any iterable of strings, read once, but a bare string, which
-# would split into characters
-LABEL_SET = Kind("a set of labels", lambda v: not isinstance(v, str),
-                 lambda v: frozenset(filter(None, map(str.strip, v))))
 
 
 @dataclass(frozen=True)
 class RepairConfig:
-    """Repair settings, each checked and converted by its kind: `statistic`,
-    `outlier_threshold` (unless None) and `allow_later_start` by those of
-    their config-file keys, `STATISTIC`, `OUTLIER_THRESHOLD` and `SWITCH`, so
-    a threshold is stored as a float, and the two label sets by `LABEL_SET`,
-    so each is stored as a frozenset of labels, stripped as input cells are
-    and without empty ones, so that every label can match a cell."""
+    """Repair settings, each checked and converted by the kind of its
+    config-file key: `statistic` by `STATISTIC`, `outlier_threshold` (unless
+    None) by `OUTLIER_THRESHOLD`, so it is stored as a float,
+    `allow_later_start` by `SWITCH`, and the two label sets by `LABELS`, so
+    each, a comma-separated string or any other collection of strings but a
+    dict, is stored as a frozenset of labels, stripped as input cells are and
+    without empty ones, so that every label can match a cell."""
 
     statistic: str = "median"  # one of STATISTICS
     outlier_threshold: Optional[float] = None  # > 1; None disables capping
@@ -49,7 +46,7 @@ class RepairConfig:
             "statistic": STATISTIC,
             **({} if self.outlier_threshold is None else {"outlier_threshold": OUTLIER_THRESHOLD}),
             "allow_later_start": SWITCH,
-            "bot_resources": LABEL_SET, "instant_activities": LABEL_SET})
+            "bot_resources": LABELS, "instant_activities": LABELS})
 
 
 # one instance's decision, as `RepairOutcome.per_instance` gives it: not API,

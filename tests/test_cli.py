@@ -585,10 +585,18 @@ class TestRejectedSettings:
         (("repair", "--input", "{log}", "--output", "{out}", "--config", "{json}"),
          '{"statistic": "mean"}',
          "bad config file: 'statistic' must be median or mode, got \"mean\""),
+        (("repair", "--input", "{log}", "--output", "{out}", "--outlier-threshold", "abc"),
+         None, "outlier_threshold must be a finite number > 1, got 'abc'"),
+        (("repair", "--input", "{log}", "--output", "{out}", "--df-threshold", "x"), None,
+         "df_threshold must be a number in [0, 1], got 'x'"),
+        (("concurrency", "--input", "{log}", "--output", "{out}", "--balance-threshold", ""),
+         None, "balance_threshold must be a number in [0, 1], got ''"),
     ], ids=["config-list", "concurrency-no-input", "empty-start-column",
             "event-and-instance-columns", "missing-resource-column",
             "reversed-delay-range", "missing-resource-rate-above-1",
-            "empty-activity-label", "unknown-statistic-flag", "unknown-statistic-file"])
+            "empty-activity-label", "unknown-statistic-flag", "unknown-statistic-file",
+            "outlier-threshold-not-a-number", "df-threshold-not-a-number",
+            "empty-balance-threshold"])
     def test_one_line_error(self, shipping_file, tmp_path, capsys, argv, text, message):
         paths = {"log": shipping_file, "out": tmp_path / "out.csv",
                  "json": tmp_path / "settings.json"}

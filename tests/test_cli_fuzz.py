@@ -113,6 +113,7 @@ def assert_clean_exit(code: int, err: str) -> None:
 repair_flags = st.sampled_from([
     [], ["--outlier-threshold", "2"], ["--statistic", "mode", "--outlier-threshold", "1.5"],
     ["--allow-later-start"], ["--bot-resources", "bot", "--instant-activities", "b"],
+    ["--outlier-threshold", "abc"], ["--df-threshold", "0x1"],
 ])
 
 

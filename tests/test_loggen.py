@@ -105,7 +105,7 @@ class TestGenSpec:
         ("delay_range", (0, 1, 2)),
         ("multitasking", "no"),
         ("stages", (("a", 3),)),
-        ("first_arrival", "2021-03-01T08:00:00"),
+        ("first_arrival", 1614585600),
     ])
     def test_field_of_the_wrong_type_names_its_field(self, field, value):
         # a configuration error, not the TypeError of comparing the value
@@ -122,6 +122,19 @@ class TestGenSpec:
             "seed": 1, "trace_count": 2, "stages": [["a", "b"], "c"], "duration_range": [1, 5],
             "missing_resource_rate": 0, "multitasking": True,
             "first_arrival": "2021-03-01T08:00:00Z"})
+
+    def test_first_arrival_text_is_the_datetime_it_names(self):
+        # one kind on every path: the constructor reads ISO text as a spec file does
+        assert GenSpec(seed=1, trace_count=1, first_arrival="2021-06-01T09:00:00") == GenSpec(
+            seed=1, trace_count=1, first_arrival=datetime(2021, 6, 1, 9, tzinfo=timezone.utc))
+
+    def test_log_past_the_calendar_names_the_spec(self):
+        spec = GenSpec(seed=1, trace_count=2, first_arrival="9999-12-31T23:00:00")
+        with pytest.raises(ConfigurationError, match="^bad generator spec: first_arrival "
+                           r"9999-12-31 23:00:00\+00:00 plus the times drawn from "
+                           "arrival_gap_range, duration_range and delay_range run past "
+                           "the year 9999$"):
+            generate(spec)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
@@ -220,6 +233,7 @@ class TestSpecKeys:
     @pytest.mark.parametrize("spec", [
         {"seed": 1, "trace_count": 2, "first_arrival": "9999-12-31T23:00:00"},
         {"seed": 1, "trace_count": 2, "duration_range": [1, 10**20]},
+        {"seed": 1, "trace_count": 3, "arrival_gap_range": [1, 86399999999999]},
     ])
     def test_times_beyond_the_calendar_are_a_one_line_error(self, tmp_path, capsys,
                                                             spec):
@@ -229,7 +243,9 @@ class TestSpecKeys:
                      str(tmp_path / "t.csv"), "--out-corrupted",
                      str(tmp_path / "c.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("startrepair: error:") and err.count("\n") == 1, err
+        assert err.startswith("startrepair: error: bad generator spec:"), err
+        assert err.count("\n") == 1, err
+        assert not any(tmp_path.glob("*.csv"))
 
     def test_readme_lists_the_spec_keys(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

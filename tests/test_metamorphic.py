@@ -10,7 +10,6 @@ from datetime import timedelta, timezone
 from hypothesis import given, settings, strategies as st
 
 from startrepair import (
-    ActivityInstance,
     ActivityInstanceLog,
     RepairConfig,
     discover_from_log,

@@ -343,13 +343,24 @@ class TestRepairStartTimes:
 
     @pytest.mark.parametrize("field", ["bot_resources", "instant_activities"])
     def test_bare_string_is_not_a_label_set(self, field):
-        # a label that is not a string is refused too: None in bot_resources
-        # would make every unknown performer a bot
-        for labels in ("R04", ["R04", None], [None], ("R04", 4)):
+        # a bare string is a comma-separated list, as a flag's and a file's
+        # text is, not a set of characters; a label that is not a string is
+        # refused: None in bot_resources would make every unknown performer a bot
+        for labels in (["R04", None], [None], ("R04", 4)):
             with pytest.raises(ConfigurationError, match=field):
                 RepairConfig(**{field: labels})
-        for labels in (["R04"], iter(["R04"]), [" R04 ", ""]):
+        for labels in ("R04", ["R04"], iter(["R04"]), [" R04 ", ""]):
             assert getattr(RepairConfig(**{field: labels}), field) == frozenset({"R04"})
+
+    @pytest.mark.parametrize("field", ["bot_resources", "instant_activities"])
+    def test_comma_separated_string_is_a_label_set(self, field):
+        # the text a flag or a config file gives: a dict, whose keys would
+        # iterate as labels, is still refused
+        assert (RepairConfig(**{field: "R04, R05,"})
+                == RepairConfig(**{field: ["R04", "R05"]}))
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be a string or a list of strings, got "):
+            RepairConfig(**{field: {"R04": True}})
 
     @pytest.mark.parametrize("field", ["bot_resources", "instant_activities"])
     @pytest.mark.parametrize("labels", [None, 5, [{"a": 1}]],
@@ -357,7 +368,8 @@ class TestRepairStartTimes:
     def test_label_set_that_frozenset_refuses(self, field, labels):
         # not iterable, or holding an unhashable value: a configuration error
         # that names the field, not the TypeError of `frozenset(labels)`
-        with pytest.raises(ConfigurationError, match=f"^{field} must be a set of labels"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be a string or a list of strings"):
             RepairConfig(**{field: labels})
 
     def test_duration_equal_to_its_cap_is_estimated(self):

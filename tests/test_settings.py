@@ -94,6 +94,19 @@ def test_label_naming_a_file_stays_a_label(tmp_path, monkeypatch, capsys):
     assert report["rule_counts"]["bot_or_instant"] == 2  # Fry's two instances
 
 
+@pytest.mark.parametrize("option, text", [
+    ("--outlier-threshold", "2"), ("--outlier-threshold", "2.5"),
+    ("--outlier-threshold", " 2 "), ("--df-threshold", ".5"), ("--df-threshold", "1e0"),
+])
+def test_number_flag_reads_its_text_as_float_does(tmp_path, capsys, option, text):
+    source = tmp_path / "in.csv"
+    source.write_text(shipping_csv())
+    assert run("repair", "--input", source, "--output", tmp_path / "out.csv",
+               option, text) == 0
+    value = json.loads(capsys.readouterr().out)["config"][option[2:].replace("-", "_")]
+    assert type(value) is float and value == float(text)
+
+
 @pytest.mark.parametrize("bounds", [[0, 0], [30, 60], [5, 1]])
 def test_generator_spec_with_duration_ranges_is_an_error(tmp_path, capsys, bounds):
     spec = tmp_path / "spec.json"
@@ -241,9 +254,9 @@ for _ in range(2000):
     (lambda v: repair.RepairConfig(allow_later_start=v),
      "allow_later_start must be true or false, got "),
     (lambda v: repair.RepairConfig(bot_resources=v),
-     "bot_resources must be a set of labels, got "),
+     "bot_resources must be a string or a list of strings, got "),
     (lambda v: repair.RepairConfig(instant_activities=v),
-     "instant_activities must be a set of labels, got "),
+     "instant_activities must be a string or a list of strings, got "),
     (lambda v: OracleThresholds(df_threshold=v),
      "df_threshold must be a number in [0, 1], got "),
     (lambda v: OracleThresholds(balance_threshold=v),
@@ -328,17 +341,15 @@ def test_config_objects_check_the_kinds_of_their_settings(monkeypatch, module, b
     fields = {field.name for field in dataclasses.fields(build())}
     checked = kinds_checked(monkeypatch, module, build)
     assert set(checked) == fields
-    # a label set's file value may be a comma-separated string; its field's may not
-    label_sets = dict.fromkeys(("bot_resources", "instant_activities"), repair.LABEL_SET)
     for field, kind in checked.items():
-        assert kind is label_sets.get(field, CONFIG_KEYS[field]), field
+        assert kind is CONFIG_KEYS[field], field
 
 
 def test_spec_checks_the_kinds_of_its_keys(monkeypatch):
     checked = kinds_checked(monkeypatch, loggen, lambda: GenSpec(seed=1, trace_count=1))
     assert set(checked) == {field.name for field in dataclasses.fields(GenSpec)}
-    for field in set(checked) - {"first_arrival"}:
-        assert checked[field] is SPEC_KEYS[field], field
+    for field, kind in checked.items():
+        assert kind is SPEC_KEYS[field], field
 
 
 @pytest.mark.parametrize("build, subject, key, value", [
@@ -366,15 +377,12 @@ def built_or_refused(build):
 
 
 # per setting, values given alike to a file and to a constructor: valid ones,
-# bound edges, 10**400, which a number reads as inf, and lists and tuples; a
-# `first_arrival` is given to a constructor as the datetime its text names. A
-# label set's comma-separated string is left out: a file splits it, as its
-# flag does, and a constructor refuses it, since it would split into characters
+# bound edges, 10**400, which a number reads as inf, and lists and tuples
 AGREEMENT_VALUES = {
     "statistic": ["median", "mode", "mean", " median", 1],
     "outlier_threshold": [1, 1.0000001, 2, 2.5, 10**400, 10**5000, float("inf"), "2", True],
-    "bot_resources": [[], ["R04"], (" R04 ", ""), ["a,b"], [1], [["R04"]]],
-    "instant_activities": [["Pack", " "], ("Pack",), ["", ""], [None]],
+    "bot_resources": [[], ["R04"], (" R04 ", ""), ["a,b"], [1], [["R04"]], "R04, R05,"],
+    "instant_activities": [["Pack", " "], ("Pack",), ["", ""], [None], "R04, R05,"],
     "allow_later_start": [True, False, 0, "no"],
     "df_threshold": [0, 0.0, 1, 0.5, -0.0, 1.0000001, -1, 10**400, "0.5", False],
     "balance_threshold": [0, 1, 0.75, 2, 10**400, [0.5]],
@@ -389,13 +397,9 @@ AGREEMENT_VALUES = {
     "arrival_gap_range": [[0, 10], (60, 1800), [10, 5]],
     "missing_resource_rate": [0, 1, 0.25, 1.5, -0.1, 10**400, 10**5000, "0"],
     "multitasking": [True, False, 1],
-    "first_arrival": [
-        ("2021-03-01T08:00:00", datetime(2021, 3, 1, 8)),
-        ("2021-03-01 08:00:00Z", datetime(2021, 3, 1, 8, tzinfo=timezone.utc)),
-        ("2021-03-01T08:00:00+02:00",
-         datetime(2021, 3, 1, 8, tzinfo=timezone(timedelta(hours=2)))),
-        ("nope", "nope"), (5, 5),
-    ],
+    "first_arrival": ["2021-03-01T08:00:00", "2021-03-01 08:00:00Z",
+                      "2021-03-01T08:00:00+02:00", "nope", 5, datetime(2021, 3, 1, 8),
+                      datetime(2021, 3, 1, 8, tzinfo=timezone(timedelta(hours=2)))],
 }
 FIELD_CLASSES = {field.name: cls for cls in (repair.RepairConfig, OracleThresholds, GenSpec)
                  for field in dataclasses.fields(cls)}
@@ -413,15 +417,14 @@ def test_agreement_values_cover_every_setting_of_a_config_object():
 def test_file_and_constructor_agree_on_every_setting(key, given):
     # both accept or both refuse a value, and what both accept builds equal,
     # hashable objects
-    file_value, value = given if key == "first_arrival" else (given, given)
     cls = FIELD_CLASSES[key]
     if cls is GenSpec:
-        from_file = built_or_refused(lambda: GenSpec.from_dict({**REQUIRED, key: file_value}))
-        built = built_or_refused(lambda: GenSpec(**{**REQUIRED, key: value}))
+        from_file = built_or_refused(lambda: GenSpec.from_dict({**REQUIRED, key: given}))
+        built = built_or_refused(lambda: GenSpec(**{**REQUIRED, key: given}))
     else:
         from_file = built_or_refused(lambda: cls(**checked_settings(
-            {key: file_value}, CONFIG_KEYS, "config file")))
-        built = built_or_refused(lambda: cls(**{key: value}))
+            {key: given}, CONFIG_KEYS, "config file")))
+        built = built_or_refused(lambda: cls(**{key: given}))
     assert (from_file is None) == (built is None), (from_file, built)
     if built is not None:
         assert built == from_file

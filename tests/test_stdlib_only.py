@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library; numpy, scipy and
-hypothesis are test-only. The package's public names are a fixed set."""
+hypothesis are test-only. The package's public names are a fixed set, and no
+module imports a name it never reads."""
 from __future__ import annotations
 
 import ast
@@ -7,9 +8,12 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import startrepair
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "startrepair").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "startrepair").glob("*.py"))
 
 
 def absolute_imports(path: Path):
@@ -47,3 +51,23 @@ def test_public_names_are_the_listed_ones():
     names = {name for name in dir(startrepair) if not name.startswith("_")
              and not isinstance(getattr(startrepair, name), ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+def unread_imports(path: Path) -> list:
+    """The names that `path` binds by an import and never reads, `__future__`
+    features aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", sorted(
+    path for folder in ("src", "tests", "scripts") for path in (ROOT / folder).rglob("*.py")
+    if path.name != "__init__.py"), ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_imported_name_is_read(path):
+    # a package's __init__.py imports its names to re-export them
+    assert unread_imports(path) == []
