@@ -134,14 +134,15 @@ def _read_log(path: str, mapping: ColumnMapping):
 
 def _read_and_discover(args: argparse.Namespace, *needed: str):
     """The step `repair` and `concurrency` share: the given settings, which
-    must hold each of `needed`; the `OracleThresholds` and `RepairConfig`
-    built from them, the latter the default for `concurrency`, which takes
-    no repair setting; the log at `input` with its pairing summary, None for
-    instance rows; and the log's concurrency relation, read from
-    `concurrency_file` when given, else discovered. Every config object is
-    built before any file is read, so a bad setting is reported first."""
+    must hold each of `needed`, an empty path counting as not given; the
+    `OracleThresholds` and `RepairConfig` built from them, the latter the
+    default for `concurrency`, which takes no repair setting; the log at
+    `input` with its pairing summary, None for instance rows; and the log's
+    concurrency relation, read from `concurrency_file` when given, else
+    discovered. Every config object is built before any file is read, so a
+    bad setting is reported first."""
     resolved = _resolve(args)
-    if not all(key in resolved for key in needed):
+    if not all(map(resolved.get, needed)):
         raise ConfigurationError(f"{args.command} needs --{' and --'.join(needed)}")
     thresholds = _settings(conc.OracleThresholds, resolved)
     config = _settings(RepairConfig, resolved)

@@ -164,10 +164,10 @@ class ActivityInstanceLog:
     `ends` and `resources`, however it was built. `instances`, a tuple of
     `ActivityInstance`, is a view built on first use and cached, so a log read
     from CSV and only repaired, written or evaluated never builds an instance.
-    `per_trace_index`, built on first use too, maps each trace to its
-    instances sorted by end, with equal ends in log order. It is not API:
-    only the benchmark's set-up, which counts traces with it, and the tests
-    that pin it read it. The log caches no other grouping.
+    `per_trace_index`, built on first use too, maps each trace to its row
+    positions in log order and builds no instance. It is not API: only the
+    benchmark's set-up, which counts traces with it, and the tests that pin
+    it read it. The log caches no other grouping.
     """
 
     def __init__(self, instances: Iterable[ActivityInstance]):
@@ -197,15 +197,13 @@ class ActivityInstanceLog:
         return tuple(map(ActivityInstance, *_columns(self)))
 
     @cached_property
-    def per_trace_index(self) -> dict[str, tuple[ActivityInstance, ...]]:
+    def per_trace_index(self) -> dict[str, list[int]]:
         # not API: only the benchmark's set-up, to count traces, and the
         # tests that pin this index read it
         groups = defaultdict(list)
         for row, key in enumerate(self.trace_ids):
             groups[key].append(row)
-        instance, end = self.instances.__getitem__, self.ends.__getitem__
-        return {key: tuple(map(instance, sorted(rows, key=end)))
-                for key, rows in groups.items()}
+        return dict(groups)
 
     def __len__(self) -> int:
         return len(self.ends)

@@ -49,10 +49,9 @@ class RepairConfig:
             "bot_resources": LABELS, "instant_activities": LABELS})
 
 
-# one instance's decision, as `RepairOutcome.per_instance` gives it: not API,
-# kept only while the benchmark's traced run reads it
-_Record = namedtuple("_Record", "original_start rat ent earliest_start repaired_start "
-                     "rule_applied")
+# one row's recorded and repaired start, as `RepairOutcome.per_instance` gives
+# them: not API, and the two fields the benchmark's traced run reads
+_Record = namedtuple("_Record", "original_start repaired_start")
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,10 @@ class RepairOutcome:
     log order: `rats` and `ents` the anchors, `estimates` the earliest start
     after the outlier cap, and `rules` the rule applied. A bot or instant
     row has no anchors and its end as its estimate; a row with no evidence
-    has no estimate. These columns are the one form of the decision:
-    `per_instance` regroups them by row only for the benchmark's traced run,
-    built on first access and cached, and is not API.
+    has no estimate. These columns are the one form of the decision.
+    `per_instance`, built on first access and cached, pairs each row's
+    recorded and repaired start for the benchmark's traced run only, and is
+    not API.
     """
 
     log: ActivityInstanceLog
@@ -80,8 +80,7 @@ class RepairOutcome:
 
     @cached_property
     def per_instance(self) -> tuple[_Record, ...]:
-        return tuple(map(_Record, self.log.starts, self.rats, self.ents,
-                         self.estimates, self.repaired_log.starts, self.rules))
+        return tuple(map(_Record, self.log.starts, self.repaired_log.starts))
 
 
 def _decide(trace_ids: Sequence[str], activities: Sequence[str],

@@ -564,6 +564,13 @@ class TestRejectedSettings:
         (("repair", "--input", "{log}", "--output", "{out}", "--config", "{json}"),
          "[1, 2]", "bad config file: expected a JSON object"),
         (("concurrency",), None, "concurrency needs --input"),
+        (("concurrency", "--input", ""), None, "concurrency needs --input"),
+        (("repair", "--input", "{log}", "--output", ""), None,
+         "repair needs --input and --output"),
+        (("repair", "--input", "", "--output", "{out}"), None,
+         "repair needs --input and --output"),
+        (("repair", "--input", "{log}", "--config", "{json}"), '{"output": ""}',
+         "repair needs --input and --output"),
         (("repair", "--input", "{log}", "--output", "{out}", "--start-column="), None,
          "mapping needs either start_time+end_time or timestamp+lifecycle columns"),
         (("repair", "--input", "{log}", "--output", "{out}", "--lifecycle-column",
@@ -591,7 +598,9 @@ class TestRejectedSettings:
          "df_threshold must be a number in [0, 1], got 'x'"),
         (("concurrency", "--input", "{log}", "--output", "{out}", "--balance-threshold", ""),
          None, "balance_threshold must be a number in [0, 1], got ''"),
-    ], ids=["config-list", "concurrency-no-input", "empty-start-column",
+    ], ids=["config-list", "concurrency-no-input", "concurrency-empty-input",
+            "repair-empty-output", "repair-empty-input", "repair-empty-output-file",
+            "empty-start-column",
             "event-and-instance-columns", "missing-resource-column",
             "reversed-delay-range", "missing-resource-rate-above-1",
             "empty-activity-label", "unknown-statistic-flag", "unknown-statistic-file",

@@ -388,15 +388,17 @@ class TestIndexes:
         from itertools import chain
 
         by_resource = resource_buckets(log)
-        for index in (by_resource, log.per_trace_index):
-            flat = list(chain.from_iterable(index.values()))
-            assert sorted(map(id, flat)) == sorted(map(id, log.instances))
-            for bucket in index.values():
-                ends = [i.end for i in bucket]
-                assert ends == sorted(ends)
+        flat = list(chain.from_iterable(by_resource.values()))
+        assert sorted(map(id, flat)) == sorted(map(id, log.instances))
+        for bucket in by_resource.values():
+            ends = [i.end for i in bucket]
+            assert ends == sorted(ends)
         for inst in log.instances:
             assert inst in by_resource[inst.resource]
-            assert inst in log.per_trace_index[inst.trace_id]
+        by_trace = log.per_trace_index
+        assert sorted(chain.from_iterable(by_trace.values())) == list(range(len(log)))
+        for trace, rows in by_trace.items():
+            assert rows == sorted(rows) and {log.trace_ids[row] for row in rows} == {trace}
 
 
 class TestWriteRoundTrip:

@@ -1,4 +1,4 @@
-"""The runtime imports nothing outside the standard library; numpy, scipy and
+"""The runtime imports nothing outside the standard library; numpy and
 hypothesis are test-only. The package's public names are a fixed set, and no
 module imports a name it never reads."""
 from __future__ import annotations
